@@ -1,0 +1,185 @@
+"""Compiled Gauss-Seidel sweep and residual check, built on first use.
+
+``_sweep.c`` is compiled once with the interpreter's C compiler into the
+package's ``__pycache__`` and loaded through ctypes. The library's file name
+carries a CRC of the source, the flags and the platform, so an edited source
+or another machine gets its own build. :func:`load` returns None when the
+library cannot be built or loaded, and callers then run the Python loop,
+which gives bitwise the same results.
+
+A cache hit imports nothing beyond what numpy already has loaded; the
+compiler is looked up and run only on a miss.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import platform
+import sys
+import zlib
+
+import numpy as np
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(_HERE, "_sweep.c")
+CACHE_DIR = os.path.join(_HERE, "__pycache__")
+# No -ffast-math or -march=native: either lets the compiler reassociate or
+# fuse the arithmetic, which breaks bitwise agreement with the Python loop.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+COMPILE_TIMEOUT_S = 120
+
+
+class _State(ctypes.Structure):
+    """Mirror of ``sf_state`` in ``_sweep.c``."""
+
+    _fields_ = [
+        ("flows", ctypes.c_void_p),
+        ("slacks", ctypes.c_void_p),
+        ("totals", ctypes.c_void_p),
+        ("excesses", ctypes.c_void_p),
+        ("caps", ctypes.c_void_p),
+        ("tails", ctypes.c_void_p),
+        ("heads", ctypes.c_void_p),
+        ("n_vertices", ctypes.c_int64),
+        ("n_arcs", ctypes.c_int64),
+        ("n_commodities", ctypes.c_int64),
+        ("use_threshold", ctypes.c_double),
+    ]
+
+
+def _compiler() -> list[str]:
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _build(path: str) -> None:
+    """Compile the source to ``path`` through a temporary file in its directory.
+
+    The final ``os.replace`` is atomic, so concurrent processes either find
+    no library or a complete one.
+    """
+    import subprocess
+    import tempfile
+
+    os.makedirs(CACHE_DIR, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE_DIR)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*_compiler(), *FLAGS, "-o", tmp, SOURCE],
+            check=True,
+            capture_output=True,
+            timeout=COMPILE_TIMEOUT_S,
+        )
+        os.chmod(tmp, 0o755)  # mkstemp made it private; other users load it too
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {SOURCE} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load() -> ctypes.CDLL | None:
+    """The compiled kernel library, built if missing; None when unavailable."""
+    try:
+        with open(SOURCE, "rb") as fh:
+            source = fh.read()
+        key = zlib.crc32(
+            "\0".join([*FLAGS, sys.platform, platform.machine()]).encode(), zlib.crc32(source)
+        )
+        path = os.path.join(CACHE_DIR, f"_sweep-{key:08x}.so")
+        if not os.path.exists(path):
+            _build(path)
+        lib = ctypes.CDLL(path)
+        state = ctypes.POINTER(_State)
+        lib.sf_sweep.argtypes = [state]
+        lib.sf_sweep.restype = None
+        lib.sf_residuals.argtypes = [state, ctypes.POINTER(ctypes.c_double)]
+        lib.sf_residuals.restype = None
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _require(
+    array: object, dtype: type, shape: tuple[int, ...], name: str, writable: bool
+) -> None:
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.shape == shape
+        and array.flags.c_contiguous
+        and array.flags.aligned
+        and (array.flags.writeable or not writable)
+    ):
+        raise ValueError(
+            f"{name} must be a C-contiguous{' writable' if writable else ''} "
+            f"{np.dtype(dtype).name} array of shape {shape}"
+        )
+
+
+class Sweep:
+    """The compiled sweep and residual check bound to one solve's arrays.
+
+    Every array is checked once here and its pointer stored, so a call
+    converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
+    updated in place by :meth:`sweep` and must outlive this object, which
+    keeps references to them.
+    """
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        flows: np.ndarray,
+        slacks: np.ndarray,
+        totals: np.ndarray,
+        excesses: np.ndarray,
+        caps: np.ndarray,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        use_threshold: float,
+    ) -> None:
+        if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
+            raise ValueError("flows must be a 2-d (commodity, arc) array")
+        if not (isinstance(excesses, np.ndarray) and excesses.ndim == 2):
+            raise ValueError("excesses must be a 2-d (commodity, vertex) array")
+        n_commodities, n_arcs = flows.shape
+        n_vertices = excesses.shape[1]
+        _require(flows, np.float64, (n_commodities, n_arcs), "flows", True)
+        _require(slacks, np.float64, (n_arcs,), "slacks", True)
+        _require(totals, np.float64, (n_arcs,), "totals", True)
+        _require(excesses, np.float64, (n_commodities, n_vertices), "excesses", True)
+        _require(caps, np.float64, (n_arcs,), "caps", False)
+        _require(tails, np.int64, (n_arcs,), "tails", False)
+        _require(heads, np.int64, (n_arcs,), "heads", False)
+        if n_arcs and not (
+            min(tails.min(), heads.min()) >= 0 and max(tails.max(), heads.max()) < n_vertices
+        ):
+            raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
+        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads)
+        self._state = _State(
+            *(array.ctypes.data for array in self._arrays),
+            n_vertices,
+            n_arcs,
+            n_commodities,
+            use_threshold,
+        )
+        self._ref = ctypes.byref(self._state)
+        self._out = (ctypes.c_double * 2)()
+        self._lib = lib
+
+    def sweep(self) -> None:
+        """One Gauss-Seidel sweep over every arc, in place."""
+        self._lib.sf_sweep(self._ref)
+
+    def residuals(self) -> tuple[float, float]:
+        """(used residual, unused residual) of the current state."""
+        self._lib.sf_residuals(self._ref, self._out)
+        return self._out[0], self._out[1]
+

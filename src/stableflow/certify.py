@@ -79,8 +79,9 @@ def classify(
     objective <= ``zero_tol`` means FEASIBLE, objective > 10 * ``zero_tol``
     means INFEASIBLE with the state as certificate. Anything else, including
     unconverged results and the gray zone between the thresholds, is
-    UNDECIDED. A FEASIBLE flow is re-checked directly before being returned;
-    a flow that fails that check demotes the verdict to UNDECIDED.
+    UNDECIDED. A FEASIBLE flow is re-checked directly before being returned,
+    at 1e-6 times the largest capacity or demand, capped at 1e-6; a flow that
+    fails that check demotes the verdict to UNDECIDED.
     """
     if zero_tol is None:
         zero_tol = default_zero_tolerance(inst)
@@ -95,7 +96,12 @@ def classify(
     )
     stable = report.max_residual <= stab_tol
     if stable and report.objective <= zero_tol:
-        if check_feasible(inst, result.flow.flows, 1e-6).ok:
+        # 1e-6 of the data's magnitude when that is below 1: an absolute
+        # 1e-6 passes a flow that misses demands of that size outright.
+        scale = max(
+            [a.capacity for a in inst.arcs] + [c.demand for c in inst.commodities], default=0.0
+        )
+        if check_feasible(inst, result.flow.flows, 1e-6 * min(1.0, scale)).ok:
             return Verdict(VerdictKind.FEASIBLE, result.flow, None, summary)
         return Verdict(VerdictKind.UNDECIDED, None, None, summary)
     if stable and report.objective > 10.0 * zero_tol:

@@ -241,8 +241,8 @@ class FeasibilityCheck(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _arc_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tails = np.array([a.tail for a in inst.arcs], dtype=int)
-    heads = np.array([a.head for a in inst.arcs], dtype=int)
+    tails = np.array([a.tail for a in inst.arcs], dtype=np.int64)
+    heads = np.array([a.head for a in inst.arcs], dtype=np.int64)
     caps = np.array([a.capacity for a in inst.arcs], dtype=float)
     return tails, heads, caps
 
@@ -449,11 +449,16 @@ def write_flow_dump(
     flows = np.asarray(flows, dtype=float)
     header = f"s {float(objective_value)!r} {float(used_residual)!r} {float(unused_residual)!r}"
     lines = [header]
+    arc_fields = [f"{arc.tail + 1} {arc.head + 1} {a + 1}" for a, arc in enumerate(inst.arcs)]
+    # One commodity row at a time: nonzero selection over the whole (K, A)
+    # array at once holds index and value lists for every pair in memory.
     for k in range(inst.commodity_count):
-        for a, arc in enumerate(inst.arcs):
-            value = float(flows[k, a])
-            if value != 0.0:
-                lines.append(f"f {k + 1} {arc.tail + 1} {arc.head + 1} {a + 1} {value!r}")
+        row = flows[k]
+        arcs = np.flatnonzero(row)  # NaN counts as nonzero, -0.0 does not
+        lines.extend(
+            f"f {k + 1} {arc_fields[a]} {value!r}"
+            for a, value in zip(arcs.tolist(), row[arcs].tolist())
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .model import Instance
 from .pseudoflow import (
     IDENTITY_PROFILES,
@@ -250,6 +251,39 @@ def solve_pgd(
     return _finish(inst, flows, caps, iterations, converged, trace, cfg)
 
 
+def _python_sweep(
+    flows: np.ndarray,
+    slacks: np.ndarray,
+    totals: np.ndarray,
+    excesses: np.ndarray,
+    caps: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+) -> None:
+    """One Gauss-Seidel sweep in place; the reference for ``_sweep.c``."""
+    tail_list = tails.tolist()
+    head_list = heads.tolist()
+    n_commodities = flows.shape[0]
+    for a in range(len(tail_list)):
+        cap = caps[a]
+        tail, head = tail_list[a], head_list[a]
+        total = float(totals[a])
+        slack = min(max(cap - total, 0.0), cap)
+        slacks[a] = slack
+        for k in range(n_commodities):
+            grad = (total + slack - cap) + excesses[k, head] - excesses[k, tail]
+            current = flows[k, a]
+            target = current - grad / 3.0
+            new = target if target > 0.0 else 0.0
+            delta = new - current
+            if delta != 0.0:
+                flows[k, a] = new
+                total += delta
+                excesses[k, tail] -= delta
+                excesses[k, head] += delta
+        totals[a] = total
+
+
 def solve_coordinate(
     inst: Instance,
     cfg: SolverConfig | None = None,
@@ -262,14 +296,16 @@ def solve_coordinate(
     then commodities ascending. Each flow update moves to the exact
     minimizer max(0, flow - g/3) of its restricted parabola, where g is the
     current slack-form gradient component.
+
+    Sweeps and the per-sweep residual check run in the compiled kernel
+    (``_sweep.c``) when it can be built and loaded, and otherwise in
+    :func:`_python_sweep` and numpy; both give bitwise the same result.
     """
     cfg = cfg or SolverConfig(method=Method.COORDINATE)
     profiles = profiles or IDENTITY_PROFILES
     _require_identity(profiles)
 
-    tails_arr, heads_arr, caps = _arc_arrays(inst)
-    tails = [int(t) for t in tails_arr]
-    heads = [int(h) for h in heads_arr]
+    tails, heads, caps = _arc_arrays(inst)
     threshold = default_use_threshold(inst)
 
     flows, slacks = _initial_state(inst, cfg, warm_start)
@@ -277,41 +313,31 @@ def solve_coordinate(
     excesses = _excess_matrix(inst, flows)
 
     used_res, unused_res, _ = _stability_residuals(
-        flows, totals, excesses, caps, tails_arr, heads_arr, threshold, profiles
+        flows, totals, excesses, caps, tails, heads, threshold, profiles
     )
     value = _slack_objective(totals, slacks, caps, excesses)
     trace = [TraceRow(0, value, used_res, unused_res)]
     if max(used_res, unused_res) <= cfg.tol:
         return _finish(inst, flows, caps, 0, True, trace, cfg)
 
-    n_arcs = inst.arc_count
-    n_commodities = inst.commodity_count
+    lib = _kernel.load()
+    kernel = (
+        None
+        if lib is None
+        else _kernel.Sweep(lib, flows, slacks, totals, excesses, caps, tails, heads, threshold)
+    )
     converged = False
     sweeps = 0
     for sweep in range(1, cfg.max_iters + 1):
-        for a in range(n_arcs):
-            cap = caps[a]
-            tail, head = tails[a], heads[a]
-            total = float(totals[a])
-            slack = min(max(cap - total, 0.0), cap)
-            slacks[a] = slack
-            for k in range(n_commodities):
-                grad = (total + slack - cap) + excesses[k, head] - excesses[k, tail]
-                current = flows[k, a]
-                target = current - grad / 3.0
-                new = target if target > 0.0 else 0.0
-                delta = new - current
-                if delta != 0.0:
-                    flows[k, a] = new
-                    total += delta
-                    excesses[k, tail] -= delta
-                    excesses[k, head] += delta
-            totals[a] = total
-
+        if kernel is None:
+            _python_sweep(flows, slacks, totals, excesses, caps, tails, heads)
+            used_res, unused_res, _ = _stability_residuals(
+                flows, totals, excesses, caps, tails, heads, threshold, profiles
+            )
+        else:
+            kernel.sweep()
+            used_res, unused_res = kernel.residuals()
         sweeps = sweep
-        used_res, unused_res, _ = _stability_residuals(
-            flows, totals, excesses, caps, tails_arr, heads_arr, threshold, profiles
-        )
         value = _slack_objective(totals, slacks, caps, excesses)
         trace.append(TraceRow(sweep, value, used_res, unused_res))
         if max(used_res, unused_res) <= cfg.tol:

@@ -10,6 +10,7 @@ from stableflow import (
     classify,
     default_zero_tolerance,
     desk_scale_batch,
+    generate_random_instance,
     oracle_feasibility,
     render_verdict_report,
     solve,
@@ -117,6 +118,21 @@ class TestClassify:
         # above 10 * zero_tol, so neither branch may fire.
         verdict = classify(inst, result, zero_tol=z / 2)
         assert verdict.kind is VerdictKind.UNDECIDED
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tiny_magnitudes_not_passed_as_feasible(self, seed):
+        # Shrunk by 1e-6, the objective falls under the zero tolerance; the
+        # re-check must then scale with the data, not stay at 1e-6.
+        base = generate_random_instance(8, 12, 3, (1, 5), (1, 5), seed=seed, integer_values=True)
+        assert oracle_feasibility(base) is False
+        tiny = Instance(
+            base.vertex_count,
+            [(a.tail, a.head, a.capacity * 1e-6) for a in base.arcs],
+            [(c.source, c.sink, c.demand * 1e-6) for c in base.commodities],
+        )
+        result = solve_coordinate(tiny)
+        assert result.report.objective <= default_zero_tolerance(tiny)
+        assert classify(tiny, result).kind is VerdictKind.UNDECIDED
 
     def test_zero_tolerance_scales_with_demand(self):
         small = Instance(2, [(0, 1, 1.0)], [(0, 1, 1.0)])

@@ -377,6 +377,17 @@ class TestFlowDump:
         text = write_flow_dump(inst, np.array([[0.0]]), 0.5, 0.0, 0.0)
         assert text.splitlines() == ["s 0.5 0.0 0.0"]
 
+    def test_lines_by_commodity_then_arc_nan_kept_negative_zero_skipped(self):
+        inst = Instance(3, [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 1.0)], [(0, 2, 2.0), (2, 0, 1.0)])
+        flows = np.array([[-0.0, np.nan, 0.25], [1e-300, 0.0, 1.0 / 3.0]])
+        assert write_flow_dump(inst, flows, 0.0, 0.0, 0.0).splitlines() == [
+            "s 0.0 0.0 0.0",
+            "f 1 2 3 2 nan",
+            "f 1 1 3 3 0.25",
+            "f 2 1 2 1 1e-300",
+            "f 2 1 3 3 0.3333333333333333",
+        ]
+
     def test_endpoint_mismatch_rejected(self, one_arc):
         inst = one_arc(1.0, 1.0)
         with pytest.raises(FlowDumpError, match="do not match"):

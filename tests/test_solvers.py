@@ -1,3 +1,8 @@
+import shlex
+import shutil
+import sys
+import sysconfig
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,8 @@ from stableflow import (
     solve_pgd,
     stability_report,
 )
+from stableflow import _kernel, solvers
+from stableflow.pseudoflow import IDENTITY_PROFILES, _stability_residuals
 
 PGD = SolverConfig(method=Method.PGD)
 COORD = SolverConfig(method=Method.COORDINATE)
@@ -253,3 +260,207 @@ class TestTrace:
         pairs = result.objective_trace
         assert pairs[0][0] == 0
         assert [p[1] for p in pairs] == [row.objective for row in result.trace]
+
+
+# --- Compiled sweep kernel against the Python reference loop ---
+
+
+def _tight_instance(seed):
+    # The benchmark's tight family: integer caps 1-3, demands 2-8.
+    rng = np.random.default_rng(seed)
+    return generate_random_instance(
+        int(rng.integers(20, 51)),
+        int(rng.integers(60, 301)),
+        int(rng.integers(2, 6)),
+        (1.0, 3.0),
+        (2.0, 8.0),
+        seed=int(rng.integers(0, 2**31)),
+        integer_values=True,
+    )
+
+
+def _python_only_solve(inst, cfg, warm_start=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        return solve_coordinate(inst, cfg, warm_start=warm_start)
+
+
+def assert_bitwise_same(compiled, reference):
+    assert compiled.flow.flows.tobytes() == reference.flow.flows.tobytes()
+    assert compiled.flow.slacks.tobytes() == reference.flow.slacks.tobytes()
+    assert compiled.iterations == reference.iterations
+    assert compiled.converged == reference.converged
+    assert compiled.trace == reference.trace
+    assert compiled.trace_csv() == reference.trace_csv()
+
+
+def _identity_cases():
+    cases = [(f"desk{i}", inst, COORD) for i, inst in enumerate(desk_scale_batch(40, seed=11))]
+    # Capped sweeps keep the Python side quick; every row up to the cap counts.
+    cases += [(f"tight{s}", _tight_instance(s), SolverConfig(max_iters=40)) for s in range(3)]
+    random_init = SolverConfig(init=Init.RANDOM, seed=5)
+    cases += [(f"random{i}", inst, random_init) for i, inst in enumerate(desk_scale_batch(8, 3))]
+    cases += [
+        ("no-arcs", Instance(3, [], [(0, 2, 1.0)]), COORD),
+        ("no-commodities", Instance(3, [(0, 1, 1.0), (1, 2, 2.0)], []), COORD),
+        ("zero-demand", Instance(3, [(0, 1, 1.0)], [(0, 2, 0.0), (1, 2, 0.0)]), COORD),
+        ("zero-capacity", Instance(3, [(0, 1, 0.0), (1, 2, 2.0)], [(0, 2, 2.0)]), COORD),
+    ]
+    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in cases]
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("inst,cfg", _identity_cases())
+    def test_matches_python_loop(self, inst, cfg):
+        assert_bitwise_same(solve_coordinate(inst, cfg), _python_only_solve(inst, cfg))
+
+    def test_warm_start_matches_python_loop(self):
+        for inst in desk_scale_batch(10, seed=17) + [_tight_instance(7)]:
+            start = _python_only_solve(inst, SolverConfig(max_iters=3)).flow
+            cfg = SolverConfig(max_iters=60)
+            assert_bitwise_same(
+                solve_coordinate(inst, cfg, warm_start=start),
+                _python_only_solve(inst, cfg, warm_start=start),
+            )
+
+    @pytest.mark.parametrize("shape", [(5, 12, 3), (4, 0, 2), (4, 6, 0), (2, 1, 1)])
+    def test_sweep_and_residuals_match_reference(self, shape):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        n_vertices, n_arcs, n_commodities = shape
+        rng = np.random.default_rng(sum(shape))
+        tails = rng.integers(0, n_vertices, n_arcs)
+        heads = (tails + rng.integers(1, n_vertices, n_arcs)) % n_vertices
+        caps = rng.uniform(0.0, 3.0, n_arcs)
+        flows = rng.uniform(0.0, 2.0, (n_commodities, n_arcs))
+        flows[rng.random(flows.shape) < 0.3] = 0.0
+        state = [
+            flows,
+            rng.uniform(0.0, 1.0, n_arcs) * caps,
+            flows.sum(axis=0),
+            rng.normal(0.0, 2.0, (n_commodities, n_vertices)),
+        ]
+        reference = [array.copy() for array in state]
+        sweep = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5)
+        for _ in range(3):
+            sweep.sweep()
+            solvers._python_sweep(*reference, caps, tails, heads)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(state, reference))
+            flows_ref, _, totals_ref, excesses_ref = reference
+            expected = _stability_residuals(
+                flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5, IDENTITY_PROFILES
+            )[:2]
+            assert sweep.residuals() == expected
+
+
+@pytest.fixture
+def fresh_load():
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
+
+
+def _system_compiler():
+    return shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0])
+
+
+class TestKernelLoading:
+    @pytest.mark.parametrize(
+        "failure", ["no-compiler", "compile-error", "cache-not-a-dir", "not-loadable"]
+    )
+    def test_loader_failure_falls_back(self, failure, monkeypatch, tmp_path, fresh_load):
+        inst = _tight_instance(1)
+        cfg = SolverConfig(max_iters=30)
+        expected = solve_coordinate(inst, cfg)
+        _kernel.load.cache_clear()
+        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
+        if failure == "no-compiler":
+            monkeypatch.setattr(_kernel, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+        elif failure == "compile-error":
+            monkeypatch.setattr(_kernel, "_compiler", lambda: [sys.executable, "-c", "exit(1)"])
+        elif failure == "not-loadable":
+            # A "compiler" that writes junk where the library should go.
+            junk = "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'junk')"
+            monkeypatch.setattr(_kernel, "_compiler", lambda: [sys.executable, "-c", junk])
+        else:
+            (tmp_path / "file").write_text("")
+            monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "file" / "cache"))
+        assert _kernel.load() is None
+        assert_bitwise_same(solve_coordinate(inst, cfg), expected)
+
+    def test_compiled_kernel_in_use_when_compiler_present(self, monkeypatch):
+        if _system_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        assert _kernel.load() is not None
+
+        def python_loop_called(*args):
+            raise AssertionError("solve fell back to the Python loop")
+
+        monkeypatch.setattr(solvers, "_python_sweep", python_loop_called)
+        assert solve_coordinate(_tight_instance(2), SolverConfig(max_iters=5)).iterations == 5
+
+    def test_build_is_keyed_and_atomic(self, monkeypatch, tmp_path, fresh_load):
+        if _system_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
+        assert _kernel.load() is not None
+        (built,) = tmp_path.iterdir()  # no temporary file left behind
+        assert built.name.startswith("_sweep-") and built.suffix == ".so"
+        _kernel.load.cache_clear()
+        monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-DSTABLEFLOW_TEST_KEY"))
+        assert _kernel.load() is not None
+        assert len(list(tmp_path.iterdir())) == 2
+
+
+class TestKernelArrayGuard:
+    @staticmethod
+    def arrays(n_vertices=4, n_arcs=5, n_commodities=3):
+        return {
+            "flows": np.zeros((n_commodities, n_arcs)),
+            "slacks": np.zeros(n_arcs),
+            "totals": np.zeros(n_arcs),
+            "excesses": np.zeros((n_commodities, n_vertices)),
+            "caps": np.ones(n_arcs),
+            "tails": np.zeros(n_arcs, dtype=np.int64),
+            "heads": np.ones(n_arcs, dtype=np.int64),
+        }
+
+    def test_valid_arrays_bind(self):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0).sweep()
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("flows", lambda a: np.asfortranarray(a)),
+            ("flows", lambda a: a.astype(np.float32)),
+            ("slacks", lambda a: np.zeros(2 * a.size)[::2]),
+            ("totals", lambda a: a[:-1]),
+            ("excesses", lambda a: a.T.copy()),
+            ("caps", lambda a: a.tolist()),
+            ("tails", lambda a: a.astype(np.int32)),
+            ("heads", lambda a: a.astype(np.float64)),
+            ("heads", lambda a: a + 10),
+            ("tails", lambda a: a - 1),
+        ],
+    )
+    def test_bad_array_rejected(self, name, bad):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays()
+        arrays[name] = bad(arrays[name])
+        with pytest.raises(ValueError):
+            _kernel.Sweep(lib, **arrays, use_threshold=0.0)
+
+    def test_read_only_output_rejected(self):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays()
+        arrays["flows"].setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            _kernel.Sweep(lib, **arrays, use_threshold=0.0)
