@@ -97,10 +97,9 @@ def classify(
     stable = report.max_residual <= stab_tol
     if stable and report.objective <= zero_tol:
         # 1e-6 of the data's magnitude when that is below 1: an absolute
-        # 1e-6 passes a flow that misses demands of that size outright.
-        scale = max(
-            [a.capacity for a in inst.arcs] + [c.demand for c in inst.commodities], default=0.0
-        )
+        # 1e-6 passes a flow that misses demands of that size outright. The
+        # injection's largest entry is the largest demand.
+        scale = max(inst.capacities.max(initial=0.0), inst.injection.max(initial=0.0))
         if check_feasible(inst, result.flow.flows, 1e-6 * min(1.0, scale)).ok:
             return Verdict(VerdictKind.FEASIBLE, result.flow, None, summary)
         return Verdict(VerdictKind.UNDECIDED, None, None, summary)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +37,16 @@ class ParseError(InstanceError):
 
 
 class ValidationError(InstanceError):
-    """A structurally well-formed instance violates a model invariant."""
+    """A structurally well-formed instance violates a model invariant.
+
+    ``arc`` or ``commodity`` is the index of the offending item, when the
+    violation belongs to one.
+    """
+
+    def __init__(self, message: str, *, arc: int | None = None, commodity: int | None = None):
+        super().__init__(message)
+        self.arc = arc
+        self.commodity = commodity
 
 
 class GenerationError(InstanceError):
@@ -86,33 +96,31 @@ class Instance:
         self._validate()
 
     def _validate(self) -> None:
-        if self.vertex_count < 1:
-            raise ValidationError(f"vertex_count must be positive, got {self.vertex_count}")
+        n = self.vertex_count
+        if n < 1:
+            raise ValidationError(f"vertex_count must be positive, got {n}")
         for idx, arc in enumerate(self.arcs):
-            if not (0 <= arc.tail < self.vertex_count and 0 <= arc.head < self.vertex_count):
-                raise ValidationError(
-                    f"arc {idx} endpoints ({arc.tail}, {arc.head}) out of range "
-                    f"[0, {self.vertex_count})"
-                )
-            if arc.tail == arc.head:
-                raise ValidationError(f"arc {idx} is a self-loop at vertex {arc.tail}")
-            if not (math.isfinite(arc.capacity) and arc.capacity >= 0):
-                raise ValidationError(f"arc {idx} capacity {arc.capacity} must be finite and >= 0")
+            if not (0 <= arc.tail < n and 0 <= arc.head < n):
+                problem = f"endpoints ({arc.tail}, {arc.head}) out of range [0, {n})"
+            elif arc.tail == arc.head:
+                problem = f"is a self-loop at vertex {arc.tail}"
+            elif not (math.isfinite(arc.capacity) and arc.capacity >= 0):
+                problem = f"capacity must be >= 0 and finite, got {arc.capacity}"
+            else:
+                continue
+            raise ValidationError(f"arc {idx} {problem}", arc=idx)
         for idx, com in enumerate(self.commodities):
-            if not (0 <= com.source < self.vertex_count and 0 <= com.sink < self.vertex_count):
-                raise ValidationError(
-                    f"commodity {idx} endpoints ({com.source}, {com.sink}) out of range "
-                    f"[0, {self.vertex_count})"
+            if not (0 <= com.source < n and 0 <= com.sink < n):
+                problem = f"endpoints ({com.source}, {com.sink}) out of range [0, {n})"
+            elif com.source == com.sink:
+                problem = (
+                    f"source equals sink (vertex {com.source}); source and sink must differ"
                 )
-            if com.source == com.sink:
-                raise ValidationError(
-                    f"commodity {idx} source equals sink (vertex {com.source}); "
-                    "source and sink must differ"
-                )
-            if not (math.isfinite(com.demand) and com.demand >= 0):
-                raise ValidationError(
-                    f"commodity {idx} demand {com.demand} must be finite and >= 0"
-                )
+            elif not (math.isfinite(com.demand) and com.demand >= 0):
+                problem = f"demand must be >= 0 and finite, got {com.demand}"
+            else:
+                continue
+            raise ValidationError(f"commodity {idx} {problem}", commodity=idx)
 
     @property
     def arc_count(self) -> int:
@@ -126,6 +134,48 @@ class Instance:
     def total_demand(self) -> float:
         return sum(c.demand for c in self.commodities)
 
+    # Read-only array views, built on first use and kept by the instance.
+    # cached_property stores them in the instance __dict__, outside the
+    # dataclass fields, so equality and hashing still see only the fields.
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """(A,) int64 tail vertex of each arc."""
+        return _read_only(np.array([a.tail for a in self.arcs], dtype=np.int64))
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """(A,) int64 head vertex of each arc."""
+        return _read_only(np.array([a.head for a in self.arcs], dtype=np.int64))
+
+    @cached_property
+    def capacities(self) -> np.ndarray:
+        """(A,) float capacity of each arc."""
+        return _read_only(np.array([a.capacity for a in self.arcs], dtype=float))
+
+    @cached_property
+    def injection(self) -> np.ndarray:
+        """(K, V) demand injection: +demand at each source, -demand at each sink."""
+        inj = np.zeros((self.commodity_count, self.vertex_count))
+        for k, com in enumerate(self.commodities):
+            inj[k, com.source] = com.demand
+            inj[k, com.sink] = -com.demand
+        return _read_only(inj)
+
+    @cached_property
+    def excess_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K·A,) flat (K, V) slots k·V + head and k·V + tail of each (k, a) flow."""
+        base = np.arange(0, self.commodity_count * self.vertex_count, self.vertex_count)[:, None]
+        return (
+            _read_only((base + self.heads).ravel()),
+            _read_only((base + self.tails).ravel()),
+        )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 def _parse_int(token: str, line: int, what: str) -> int:
     try:
@@ -136,32 +186,29 @@ def _parse_int(token: str, line: int, what: str) -> int:
 
 def _parse_real(token: str, line: int, what: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise ParseError(line, f"expected number {what}, got {token!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(line, f"{what} must be finite, got {token!r}")
-    return value
-
-
-def _parse_vertex(token: str, line: int, what: str, vertex_count: int) -> int:
-    vid = _parse_int(token, line, what)
-    if not (1 <= vid <= vertex_count):
-        raise ParseError(line, f"{what} {vid} out of range [1, {vertex_count}]")
-    return vid - 1
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance text into an :class:`Instance`.
 
+    The parser checks token syntax and counts; :class:`Instance` checks the
+    model invariants (vertex ranges, self-loops, source equal to sink,
+    sign and finiteness), and its error is reported at the offending line.
+
     Raises:
-        ParseError: On malformed lines, out-of-range vertex ids, self-loops,
-            commodities with source equal to sink, or count mismatches with
-            the problem line. The error message carries the line number.
+        ParseError: On malformed lines, count mismatches with the problem
+            line, or an instance that violates a model invariant. The error
+            message carries the line number.
     """
     vertex_count = arc_count = commodity_count = -1
+    problem_line = 1
     arcs: list[Arc] = []
     commodities: list[Commodity] = []
+    arc_lines: list[int] = []
+    commodity_lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -178,10 +225,9 @@ def parse_instance(text: str) -> Instance:
             vertex_count = _parse_int(tokens[2], lineno, "vertex count")
             arc_count = _parse_int(tokens[3], lineno, "arc count")
             commodity_count = _parse_int(tokens[4], lineno, "commodity count")
-            if vertex_count < 1:
-                raise ParseError(lineno, f"vertex count must be positive, got {vertex_count}")
-            if arc_count < 0 or commodity_count < 0:
-                raise ParseError(lineno, "arc and commodity counts must be nonnegative")
+            if vertex_count < 0 or arc_count < 0 or commodity_count < 0:
+                raise ParseError(lineno, "vertex, arc and commodity counts must be nonnegative")
+            problem_line = lineno
             continue
 
         if vertex_count < 0:
@@ -190,29 +236,19 @@ def parse_instance(text: str) -> Instance:
         if kind == "a":
             if len(tokens) != 4:
                 raise ParseError(lineno, f"expected 'a <tail> <head> <capacity>', got {line!r}")
-            tail = _parse_vertex(tokens[1], lineno, "arc tail", vertex_count)
-            head = _parse_vertex(tokens[2], lineno, "arc head", vertex_count)
-            if tail == head:
-                raise ParseError(lineno, f"self-loop at vertex {tail + 1} is not allowed")
-            capacity = _parse_real(tokens[3], lineno, "capacity")
-            if capacity < 0:
-                raise ParseError(lineno, f"capacity must be >= 0, got {capacity}")
-            arcs.append(Arc(tail, head, capacity))
+            tail = _parse_int(tokens[1], lineno, "arc tail")
+            head = _parse_int(tokens[2], lineno, "arc head")
+            arcs.append(Arc(tail - 1, head - 1, _parse_real(tokens[3], lineno, "capacity")))
+            arc_lines.append(lineno)
         elif kind == "c":
             if len(tokens) != 4:
                 raise ParseError(lineno, f"expected 'c <source> <sink> <demand>', got {line!r}")
-            source = _parse_vertex(tokens[1], lineno, "commodity source", vertex_count)
-            sink = _parse_vertex(tokens[2], lineno, "commodity sink", vertex_count)
-            if source == sink:
-                raise ParseError(
-                    lineno,
-                    f"commodity source equals sink (vertex {source + 1}); "
-                    "source and sink must differ",
-                )
-            demand = _parse_real(tokens[3], lineno, "demand")
-            if demand < 0:
-                raise ParseError(lineno, f"demand must be >= 0, got {demand}")
-            commodities.append(Commodity(source, sink, demand))
+            source = _parse_int(tokens[1], lineno, "commodity source")
+            sink = _parse_int(tokens[2], lineno, "commodity sink")
+            commodities.append(
+                Commodity(source - 1, sink - 1, _parse_real(tokens[3], lineno, "demand"))
+            )
+            commodity_lines.append(lineno)
         else:
             raise ParseError(lineno, f"unknown line type {kind!r}")
 
@@ -224,7 +260,17 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(
             1, f"problem line declares {commodity_count} commodities, found {len(commodities)}"
         )
-    return Instance(vertex_count, tuple(arcs), tuple(commodities))
+    try:
+        return Instance(vertex_count, tuple(arcs), tuple(commodities))
+    except ValidationError as exc:
+        # Vertex ids in the message are the instance's, one less than the file's.
+        if exc.arc is not None:
+            lineno = arc_lines[exc.arc]
+        elif exc.commodity is not None:
+            lineno = commodity_lines[exc.commodity]
+        else:
+            lineno = problem_line
+        raise ParseError(lineno, str(exc)) from exc
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -188,16 +187,14 @@ class PseudoFlow:
     @classmethod
     def zeros(cls, inst: Instance) -> "PseudoFlow":
         """All-zero flows with slacks filling each arc's capacity."""
-        caps = _arc_arrays(inst)[2]
-        return cls(np.zeros((inst.commodity_count, inst.arc_count)), caps.copy())
+        return cls(np.zeros((inst.commodity_count, inst.arc_count)), inst.capacities)
 
     def validate(self, inst: Instance) -> None:
         """Check dimensions against ``inst`` and the slack box constraints."""
         expected = (inst.commodity_count, inst.arc_count)
         if self.flows.shape != expected:
             raise ValueError(f"flows shape {self.flows.shape} does not match {expected}")
-        caps = _arc_arrays(inst)[2]
-        if self.slacks.size and float((self.slacks - caps).max()) > 0:
+        if self.slacks.size and float((self.slacks - inst.capacities).max()) > 0:
             raise ValueError("slacks exceed arc capacities")
 
     def copy(self) -> "PseudoFlow":
@@ -239,37 +236,23 @@ class FeasibilityCheck(NamedTuple):
     min_flow: float
 
 
-@lru_cache(maxsize=128)
-def _arc_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tails = np.array([a.tail for a in inst.arcs], dtype=np.int64)
-    heads = np.array([a.head for a in inst.arcs], dtype=np.int64)
-    caps = np.array([a.capacity for a in inst.arcs], dtype=float)
-    return tails, heads, caps
-
-
-@lru_cache(maxsize=128)
-def _injection(inst: Instance) -> np.ndarray:
-    # (K, V): +demand at each commodity's source, -demand at its sink.
-    inj = np.zeros((inst.commodity_count, inst.vertex_count))
-    for k, com in enumerate(inst.commodities):
-        inj[k, com.source] += com.demand
-        inj[k, com.sink] -= com.demand
-    return inj
-
-
-@lru_cache(maxsize=128)
-def _incidence(inst: Instance) -> np.ndarray:
-    # (A, V): +1 at the head (inflow), -1 at the tail (outflow).
-    mat = np.zeros((inst.arc_count, inst.vertex_count))
-    for a, arc in enumerate(inst.arcs):
-        mat[a, arc.head] += 1.0
-        mat[a, arc.tail] -= 1.0
-    return mat
-
-
 def _excess_matrix(inst: Instance, flows: np.ndarray) -> np.ndarray:
-    """(K, V) excesses: inflow - outflow + demand injection, per commodity."""
-    return _injection(inst) + flows @ _incidence(inst)
+    """(K, V) excesses: demand injection + inflow - outflow, per commodity.
+
+    Scatters the flows onto the instance's flat (K·V) head and tail slots:
+    O(K·A) work, and no (A, V) incidence matrix.
+    """
+    if flows.shape != (inst.commodity_count, inst.arc_count):
+        raise ValueError(
+            f"flows shape {flows.shape} does not match "
+            f"{(inst.commodity_count, inst.arc_count)}"
+        )
+    head_slots, tail_slots = inst.excess_slots
+    flat = flows.ravel()
+    size = inst.injection.size
+    inflow = np.bincount(head_slots, flat, size)
+    outflow = np.bincount(tail_slots, flat, size)
+    return inst.injection + (inflow - outflow).reshape(inst.injection.shape)
 
 
 def default_use_threshold(inst: Instance) -> float:
@@ -321,7 +304,7 @@ def objective(
     """
     profiles = profiles or IDENTITY_PROFILES
     totals = pf.arc_totals()
-    _, _, caps = _arc_arrays(inst)
+    caps = inst.capacities
     excesses = _excess_matrix(inst, pf.flows)
     if form is ObjectiveForm.INTEGRAL:
         return profiles.congestion_penalty(totals - caps) + profiles.height_penalty(excesses)
@@ -344,7 +327,7 @@ def gradient(
     the slack gap (flow total + slack - capacity).
     """
     profiles = profiles or IDENTITY_PROFILES
-    tails, heads, caps = _arc_arrays(inst)
+    tails, heads, caps = inst.tails, inst.heads, inst.capacities
     totals = pf.arc_totals()
     excesses = _excess_matrix(inst, pf.flows)
     heights = profiles.heights(excesses)
@@ -395,7 +378,7 @@ def stability_report(
         use_threshold = default_use_threshold(inst)
     if use_threshold < 0:
         raise ValueError("use_threshold must be >= 0")
-    tails, heads, caps = _arc_arrays(inst)
+    tails, heads, caps = inst.tails, inst.heads, inst.capacities
     totals = pf.arc_totals()
     excesses = _excess_matrix(inst, pf.flows)
     heights = profiles.heights(excesses)
@@ -421,13 +404,8 @@ def check_feasible(inst: Instance, flows: np.ndarray, tol: float) -> Feasibility
     reaches the sink), and all flows are nonnegative.
     """
     flows = np.asarray(flows, dtype=float)
-    expected = (inst.commodity_count, inst.arc_count)
-    if flows.shape != expected:
-        raise ValueError(f"flows shape {flows.shape} does not match {expected}")
-    _, _, caps = _arc_arrays(inst)
-    totals = flows.sum(axis=0)
-    cap_violation = float(np.maximum(totals - caps, 0.0).max(initial=0.0))
     conservation = float(np.abs(_excess_matrix(inst, flows)).max(initial=0.0))
+    cap_violation = float(np.maximum(flows.sum(axis=0) - inst.capacities, 0.0).max(initial=0.0))
     min_flow = float(flows.min()) if flows.size else 0.0
     ok = cap_violation <= tol and conservation <= tol and min_flow >= -tol
     return FeasibilityCheck(ok, cap_violation, conservation, min_flow)

@@ -17,8 +17,9 @@ profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,6 @@ from .pseudoflow import (
     PseudoFlow,
     StabilityReport,
     UnsupportedProfilesError,
-    _arc_arrays,
     _excess_matrix,
     _slack_objective,
     _stability_residuals,
@@ -40,6 +40,10 @@ from .pseudoflow import (
     gradient,
     stability_report,
 )
+
+# PGD backtracking: shrink factor of the step and sufficient-decrease fraction.
+ARMIJO_BETA = 0.5
+ARMIJO_SIGMA = 1e-4
 
 
 class Method(Enum):
@@ -56,9 +60,7 @@ class Init(Enum):
 class SolverConfig:
     """Solver selection and stopping control.
 
-    ``tol`` bounds both stability residuals at convergence. ``armijo_beta``
-    and ``armijo_sigma`` are the backtracking shrink factor and sufficient
-    decrease fraction for PGD.
+    ``tol`` bounds both stability residuals at convergence.
     """
 
     method: Method = Method.COORDINATE
@@ -66,18 +68,12 @@ class SolverConfig:
     max_iters: int = 100_000
     seed: int = 0
     init: Init = Init.ZERO
-    armijo_beta: float = 0.5
-    armijo_sigma: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.armijo_beta < 1:
-            raise ValueError(f"armijo_beta must be in (0, 1), got {self.armijo_beta}")
-        if not 0 < self.armijo_sigma < 1:
-            raise ValueError(f"armijo_sigma must be in (0, 1), got {self.armijo_sigma}")
 
 
 class TraceRow(NamedTuple):
@@ -129,7 +125,6 @@ def _require_identity(profiles: Profiles) -> None:
 def _initial_state(
     inst: Instance, cfg: SolverConfig, warm_start: PseudoFlow | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    caps = _arc_arrays(inst)[2]
     if warm_start is not None:
         warm_start.validate(inst)
         return warm_start.flows.copy(), warm_start.slacks.copy()
@@ -140,22 +135,7 @@ def _initial_state(
         rng = np.random.default_rng(cfg.seed)
         max_demand = max((c.demand for c in inst.commodities), default=0.0)
         flows = rng.uniform(0.0, max_demand, size=shape) if max_demand > 0 else np.zeros(shape)
-    return flows, _optimal_slacks(flows.sum(axis=0), caps)
-
-
-def _finish(
-    inst: Instance,
-    flows: np.ndarray,
-    caps: np.ndarray,
-    iterations: int,
-    converged: bool,
-    trace: list[TraceRow],
-    cfg: SolverConfig,
-) -> SolveResult:
-    # Final exact slack refresh; leaves flows (hence residuals) untouched.
-    pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
-    report = stability_report(inst, pf, IDENTITY_PROFILES)
-    return SolveResult(pf, report, iterations, converged, trace, cfg)
+    return flows, _optimal_slacks(flows.sum(axis=0), inst.capacities)
 
 
 def solve(
@@ -164,11 +144,68 @@ def solve(
     profiles: Profiles | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
-    """Run the solver selected by ``cfg.method``."""
+    """Run the method selected by ``cfg.method`` to stability.
+
+    One loop serves both methods, each supplying only its in-place step. It
+    stops when both stability residuals are within ``cfg.tol``, after
+    ``cfg.max_iters`` iterations, or when PGD finds no descent step;
+    ``converged`` is read off the final report, so the two always agree.
+
+    The residual check and the coordinate sweep run in the compiled kernel
+    (``_sweep.c``) when it can be built and loaded, and otherwise in numpy
+    and :func:`_python_sweep`; both give bitwise the same result.
+    """
     cfg = cfg or SolverConfig()
+    _require_identity(profiles or IDENTITY_PROFILES)
+
+    tails, heads, caps = inst.tails, inst.heads, inst.capacities
+    threshold = default_use_threshold(inst)
+    flows, slacks = _initial_state(inst, cfg, warm_start)
+    totals = flows.sum(axis=0)
+    excesses = _excess_matrix(inst, flows)
+    state = (flows, slacks, totals, excesses, caps, tails, heads)
+    lib = _kernel.load()
+    kernel = None if lib is None else _kernel.Sweep(lib, *state, threshold)
+
+    def residuals() -> tuple[float, float]:
+        if kernel is not None:
+            return kernel.residuals()
+        return _stability_residuals(
+            flows, totals, excesses, caps, tails, heads, threshold, IDENTITY_PROFILES
+        )[:2]
+
     if cfg.method is Method.PGD:
-        return solve_pgd(inst, cfg, profiles, warm_start)
-    return solve_coordinate(inst, cfg, profiles, warm_start)
+        step = partial(_pgd_step, inst, flows, slacks, totals, excesses)
+    else:
+        sweep = partial(_python_sweep, *state) if kernel is None else kernel.sweep
+
+        def step(value: float) -> float | None:
+            sweep()
+            return _slack_objective(totals, slacks, caps, excesses)
+
+    value = _slack_objective(totals, slacks, caps, excesses)
+    used_res, unused_res = residuals()
+    trace = [TraceRow(0, value, used_res, unused_res)]
+    iterations = 0
+    while max(used_res, unused_res) > cfg.tol and iterations < cfg.max_iters:
+        new_value = step(value)
+        if new_value is None:
+            break
+        iterations += 1
+        value = new_value
+        used_res, unused_res = residuals()
+        if max(used_res, unused_res) <= cfg.tol:
+            # Totals and excesses are updated incrementally and drift from
+            # the flows; re-derive them so the stop agrees with the report.
+            np.sum(flows, axis=0, out=totals)
+            excesses[...] = _excess_matrix(inst, flows)
+            used_res, unused_res = residuals()
+        trace.append(TraceRow(iterations, value, used_res, unused_res))
+
+    # Final exact slack refresh; leaves flows (hence residuals) untouched.
+    pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
+    report = stability_report(inst, pf, IDENTITY_PROFILES)
+    return SolveResult(pf, report, iterations, report.max_residual <= cfg.tol, trace, cfg)
 
 
 def solve_pgd(
@@ -177,78 +214,65 @@ def solve_pgd(
     profiles: Profiles | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
-    """Projected gradient descent with Armijo backtracking."""
-    cfg = cfg or SolverConfig(method=Method.PGD)
-    profiles = profiles or IDENTITY_PROFILES
-    _require_identity(profiles)
+    """Projected gradient descent with Armijo backtracking (see :func:`solve`)."""
+    return solve(inst, replace(cfg or SolverConfig(), method=Method.PGD), profiles, warm_start)
 
-    tails, heads, caps = _arc_arrays(inst)
-    threshold = default_use_threshold(inst)
-    flows, slacks = _initial_state(inst, cfg, warm_start)
-    totals = flows.sum(axis=0)
-    excesses = _excess_matrix(inst, flows)
-    value = _slack_objective(totals, slacks, caps, excesses)
 
-    used_res, unused_res, _ = _stability_residuals(
-        flows, totals, excesses, caps, tails, heads, threshold, profiles
+def solve_coordinate(
+    inst: Instance,
+    cfg: SolverConfig | None = None,
+    profiles: Profiles | None = None,
+    warm_start: PseudoFlow | None = None,
+) -> SolveResult:
+    """Exact Gauss-Seidel coordinate descent (see :func:`solve`)."""
+    return solve(
+        inst, replace(cfg or SolverConfig(), method=Method.COORDINATE), profiles, warm_start
     )
-    trace = [TraceRow(0, value, used_res, unused_res)]
-    if max(used_res, unused_res) <= cfg.tol:
-        return _finish(inst, flows, caps, 0, True, trace, cfg)
 
-    converged = False
-    iterations = 0
-    for iteration in range(1, cfg.max_iters + 1):
-        gap = totals + slacks - caps
-        flow_grad = gap[None, :] + excesses[:, heads] - excesses[:, tails]
-        slack_grad = gap
 
-        step = 1.0
-        accepted = False
-        for _ in range(80):
-            new_flows = np.maximum(flows - step * flow_grad, 0.0)
-            new_slacks = np.clip(slacks - step * slack_grad, 0.0, caps)
-            flow_move = new_flows - flows
-            slack_move = new_slacks - slacks
-            inner = float(np.sum(flow_grad * flow_move)) + float(
-                np.sum(slack_grad * slack_move)
-            )
-            new_totals = new_flows.sum(axis=0)
-            new_excesses = _excess_matrix(inst, new_flows)
-            # The objective is quadratic, so the exact change along the move
-            # is the trapezoid of the two endpoint gradients. Evaluating the
-            # Armijo test on this change avoids the cancellation that sets in
-            # when candidate objective values differ by less than one ulp.
-            new_gap = new_totals + new_slacks - caps
-            new_flow_grad = (
-                new_gap[None, :] + new_excesses[:, heads] - new_excesses[:, tails]
-            )
-            change = 0.5 * (
-                float(np.sum((flow_grad + new_flow_grad) * flow_move))
-                + float(np.sum((slack_grad + new_gap) * slack_move))
-            )
-            if change <= cfg.armijo_sigma * inner and change < 0.0:
-                accepted = True
-                break
-            step *= cfg.armijo_beta
-        if not accepted:
-            # No strictly decreasing step exists; the point is stationary to
-            # working precision and the last residual check stands.
-            break
+def _pgd_step(
+    inst: Instance,
+    flows: np.ndarray,
+    slacks: np.ndarray,
+    totals: np.ndarray,
+    excesses: np.ndarray,
+    value: float,
+) -> float | None:
+    """One projected gradient step with Armijo backtracking from step 1, in place.
 
-        flows, slacks = new_flows, new_slacks
-        totals, excesses = new_totals, new_excesses
-        value += change
-        iterations = iteration
-        used_res, unused_res, _ = _stability_residuals(
-            flows, totals, excesses, caps, tails, heads, threshold, profiles
+    Returns the new objective value, or None when no step decreases the
+    objective strictly: the point is then stationary to working precision.
+    """
+    tails, heads, caps = inst.tails, inst.heads, inst.capacities
+    gap = totals + slacks - caps
+    flow_grad = gap[None, :] + excesses[:, heads] - excesses[:, tails]
+    step = 1.0
+    for _ in range(80):
+        new_flows = np.maximum(flows - step * flow_grad, 0.0)
+        new_slacks = np.clip(slacks - step * gap, 0.0, caps)
+        flow_move = new_flows - flows
+        slack_move = new_slacks - slacks
+        inner = float(np.sum(flow_grad * flow_move)) + float(np.sum(gap * slack_move))
+        new_totals = new_flows.sum(axis=0)
+        new_excesses = _excess_matrix(inst, new_flows)
+        # The objective is quadratic, so the exact change along the move is
+        # the trapezoid of the two endpoint gradients. Evaluating the Armijo
+        # test on this change avoids the cancellation that sets in when
+        # candidate objective values differ by less than one ulp.
+        new_gap = new_totals + new_slacks - caps
+        new_flow_grad = new_gap[None, :] + new_excesses[:, heads] - new_excesses[:, tails]
+        change = 0.5 * (
+            float(np.sum((flow_grad + new_flow_grad) * flow_move))
+            + float(np.sum((gap + new_gap) * slack_move))
         )
-        trace.append(TraceRow(iteration, value, used_res, unused_res))
-        if max(used_res, unused_res) <= cfg.tol:
-            converged = True
-            break
-
-    return _finish(inst, flows, caps, iterations, converged, trace, cfg)
+        if change <= ARMIJO_SIGMA * inner and change < 0.0:
+            flows[...] = new_flows
+            slacks[...] = new_slacks
+            totals[...] = new_totals
+            excesses[...] = new_excesses
+            return value + change
+        step *= ARMIJO_BETA
+    return None
 
 
 def _python_sweep(
@@ -260,7 +284,11 @@ def _python_sweep(
     tails: np.ndarray,
     heads: np.ndarray,
 ) -> None:
-    """One Gauss-Seidel sweep in place; the reference for ``_sweep.c``."""
+    """One Gauss-Seidel sweep in place; the reference for ``_sweep.c``.
+
+    Arcs ascending, the arc's slack first, then commodities ascending; each
+    flow moves to max(0, flow - g/3), g its slack-form gradient component.
+    """
     tail_list = tails.tolist()
     head_list = heads.tolist()
     n_commodities = flows.shape[0]
@@ -284,79 +312,15 @@ def _python_sweep(
         totals[a] = total
 
 
-def solve_coordinate(
-    inst: Instance,
-    cfg: SolverConfig | None = None,
-    profiles: Profiles | None = None,
-    warm_start: PseudoFlow | None = None,
-) -> SolveResult:
-    """Exact Gauss-Seidel coordinate descent.
-
-    Sweep order is deterministic: arcs ascending, the arc's slack first,
-    then commodities ascending. Each flow update moves to the exact
-    minimizer max(0, flow - g/3) of its restricted parabola, where g is the
-    current slack-form gradient component.
-
-    Sweeps and the per-sweep residual check run in the compiled kernel
-    (``_sweep.c``) when it can be built and loaded, and otherwise in
-    :func:`_python_sweep` and numpy; both give bitwise the same result.
-    """
-    cfg = cfg or SolverConfig(method=Method.COORDINATE)
-    profiles = profiles or IDENTITY_PROFILES
-    _require_identity(profiles)
-
-    tails, heads, caps = _arc_arrays(inst)
-    threshold = default_use_threshold(inst)
-
-    flows, slacks = _initial_state(inst, cfg, warm_start)
-    totals = flows.sum(axis=0)
-    excesses = _excess_matrix(inst, flows)
-
-    used_res, unused_res, _ = _stability_residuals(
-        flows, totals, excesses, caps, tails, heads, threshold, profiles
-    )
-    value = _slack_objective(totals, slacks, caps, excesses)
-    trace = [TraceRow(0, value, used_res, unused_res)]
-    if max(used_res, unused_res) <= cfg.tol:
-        return _finish(inst, flows, caps, 0, True, trace, cfg)
-
-    lib = _kernel.load()
-    kernel = (
-        None
-        if lib is None
-        else _kernel.Sweep(lib, flows, slacks, totals, excesses, caps, tails, heads, threshold)
-    )
-    converged = False
-    sweeps = 0
-    for sweep in range(1, cfg.max_iters + 1):
-        if kernel is None:
-            _python_sweep(flows, slacks, totals, excesses, caps, tails, heads)
-            used_res, unused_res, _ = _stability_residuals(
-                flows, totals, excesses, caps, tails, heads, threshold, profiles
-            )
-        else:
-            kernel.sweep()
-            used_res, unused_res = kernel.residuals()
-        sweeps = sweep
-        value = _slack_objective(totals, slacks, caps, excesses)
-        trace.append(TraceRow(sweep, value, used_res, unused_res))
-        if max(used_res, unused_res) <= cfg.tol:
-            converged = True
-            break
-
-    return _finish(inst, flows, caps, sweeps, converged, trace, cfg)
-
-
 def projected_gradient_residual(inst: Instance, pf: PseudoFlow) -> float:
     """Optimality residual of the slack-form problem at ``pf``.
 
     Infinity norm of x - project(x - grad) over the box (flows >= 0,
     slacks in [0, capacity]); zero exactly at minimizers.
     """
-    caps = _arc_arrays(inst)[2]
     flow_grad, slack_grad = gradient(inst, pf, IDENTITY_PROFILES, ObjectiveForm.SLACK)
     flow_disp = pf.flows - np.maximum(pf.flows - flow_grad, 0.0)
-    slack_disp = pf.slacks - np.clip(pf.slacks - slack_grad, 0.0, caps)
+    slack_disp = pf.slacks - np.clip(pf.slacks - slack_grad, 0.0, inst.capacities)
     return max(
         float(np.abs(flow_disp).max(initial=0.0)),
         float(np.abs(slack_disp).max(initial=0.0)),

@@ -1,4 +1,10 @@
+import gc
+import weakref
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableflow import (
     Instance,
@@ -15,8 +21,18 @@ from stableflow import (
     render_verdict_report,
     solve,
     solve_coordinate,
+    solve_pgd,
     stability_report,
 )
+
+
+def scaled(inst, factor):
+    """The same network with every capacity and demand multiplied by ``factor``."""
+    return Instance(
+        inst.vertex_count,
+        [(a.tail, a.head, a.capacity * factor) for a in inst.arcs],
+        [(c.source, c.sink, c.demand * factor) for c in inst.commodities],
+    )
 
 
 class TestOracle:
@@ -125,14 +141,22 @@ class TestClassify:
         # re-check must then scale with the data, not stay at 1e-6.
         base = generate_random_instance(8, 12, 3, (1, 5), (1, 5), seed=seed, integer_values=True)
         assert oracle_feasibility(base) is False
-        tiny = Instance(
-            base.vertex_count,
-            [(a.tail, a.head, a.capacity * 1e-6) for a in base.arcs],
-            [(c.source, c.sink, c.demand * 1e-6) for c in base.commodities],
-        )
+        tiny = scaled(base, 1e-6)
         result = solve_coordinate(tiny)
         assert result.report.objective <= default_zero_tolerance(tiny)
         assert classify(tiny, result).kind is VerdictKind.UNDECIDED
+
+    def test_huge_magnitudes_converged_agrees_with_report(self):
+        # Grown by 1e6, the solver's incrementally kept totals and excesses
+        # drift from its flows: the in-loop check once passed while the final
+        # report stayed above tol, and the verdict came back UNDECIDED.
+        base = generate_random_instance(8, 12, 3, (1, 5), (1, 5), seed=4, integer_values=True)
+        assert oracle_feasibility(base) is False
+        huge = scaled(base, 1e6)
+        result = solve_coordinate(huge)
+        assert result.converged
+        assert result.report.max_residual <= result.config.tol
+        assert classify(huge, result).kind is VerdictKind.INFEASIBLE
 
     def test_zero_tolerance_scales_with_demand(self):
         small = Instance(2, [(0, 1, 1.0)], [(0, 1, 1.0)])
@@ -205,6 +229,45 @@ class TestAgreement:
         inst = Instance(2, [], [(0, 1, 0.0)])
         assert classify(inst, solve_coordinate(inst)).kind is VerdictKind.FEASIBLE
         assert oracle_feasibility(inst) is True
+
+
+@given(seed=st.integers(0, 2**31 - 1), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_permuting_arcs_and_commodities_keeps_verdict(seed, data):
+    inst = desk_scale_batch(1, seed)[0]
+    arc_order = data.draw(st.permutations(range(inst.arc_count)))
+    com_order = data.draw(st.permutations(range(inst.commodity_count)))
+    permuted = Instance(
+        inst.vertex_count,
+        [inst.arcs[a] for a in arc_order],
+        [inst.commodities[k] for k in com_order],
+    )
+    for solver in (solve_coordinate, solve_pgd):
+        base, moved = solver(inst), solver(permuted)
+        for result in (base, moved):
+            assert result.converged == (result.report.max_residual <= result.config.tol)
+        verdict = classify(permuted, moved)
+        assert verdict.kind is classify(inst, base).kind
+        if verdict.flow is not None:
+            routed = np.empty_like(verdict.flow.flows)
+            routed[np.ix_(com_order, arc_order)] = verdict.flow.flows
+            assert check_feasible(inst, routed, 1e-6).ok
+    # PGD takes the same steps on the permuted problem, up to rounding.
+    np.testing.assert_allclose(
+        moved.flow.flows, base.flow.flows[np.ix_(com_order, arc_order)], rtol=0, atol=1e-6
+    )
+
+
+# Distinct instances per method: a cache keyed by value would otherwise pin
+# only the first of two equal instances.
+@pytest.mark.parametrize("method,seed", [(Method.COORDINATE, 3), (Method.PGD, 5)])
+def test_instance_freed_after_solve_and_classify(method, seed):
+    inst = desk_scale_batch(1, seed)[0]
+    ref = weakref.ref(inst)
+    classify(inst, solve(inst, SolverConfig(method=method)))
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 class TestRender:

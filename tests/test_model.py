@@ -40,6 +40,20 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2.*out of range"):
             parse_instance("p mcf 2 1 0\na 1 3 1.0\n")
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            pytest.param("p mcf 3 2 0\na 1 2 1.0\na 2 2 1.0\n", 3, id="arc"),
+            pytest.param("p mcf 2 1 1\na 1 2 1.0\n# note\nc 2 3 1.0\n", 4, id="commodity"),
+            pytest.param("# header\np mcf 0 0 0\n", 2, id="vertex-count"),
+        ],
+    )
+    def test_instance_errors_point_at_their_line(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert info.value.line == line
+        assert isinstance(info.value.__cause__, ValidationError)
+
     def test_line_before_problem_line(self):
         with pytest.raises(ParseError, match="before the problem line"):
             parse_instance("a 1 2 1.0\np mcf 2 1 0\n")

@@ -21,6 +21,7 @@ from stableflow import (
     stability_report,
     write_flow_dump,
 )
+from stableflow.pseudoflow import _excess_matrix
 
 
 def random_point(inst, rng, low=0.01):
@@ -63,7 +64,47 @@ def fd_slack_gradient(inst, pf, profiles, step=1e-6):
     return grad
 
 
+def dense_excesses(inst, flows):
+    """Reference excesses: demand injection plus flows times the (A, V) incidence."""
+    incidence = np.zeros((inst.arc_count, inst.vertex_count))
+    for a, arc in enumerate(inst.arcs):
+        incidence[a, arc.head] += 1.0
+        incidence[a, arc.tail] -= 1.0
+    injection = np.zeros((inst.commodity_count, inst.vertex_count))
+    for k, com in enumerate(inst.commodities):
+        injection[k, com.source] += com.demand
+        injection[k, com.sink] -= com.demand
+    return injection + flows @ incidence
+
+
+def _excess_cases():
+    cases = [(f"desk{i}", inst) for i, inst in enumerate(desk_scale_batch(20, seed=8))]
+    parallel_arcs = [(0, 1, 1.0), (0, 1, 2.0), (1, 2, 1.0), (1, 0, 3.0)]
+    cases += [
+        ("parallel", Instance(3, parallel_arcs, [(0, 2, 2.0), (2, 0, 1.0)])),
+        ("no-arcs", Instance(3, [], [(0, 2, 1.0), (1, 0, 2.0)])),
+        ("no-commodities", Instance(3, [(0, 1, 1.0), (1, 2, 2.0)], [])),
+    ]
+    return [pytest.param(inst, id=name) for name, inst in cases]
+
+
 class TestExcess:
+    @pytest.mark.parametrize("inst", _excess_cases())
+    def test_scatter_matches_dense_incidence(self, inst):
+        rng = np.random.default_rng(inst.arc_count)
+        flows = rng.uniform(0.0, 4.0, size=(inst.commodity_count, inst.arc_count))
+        flows[rng.random(flows.shape) < 0.3] = 0.0
+        scattered = _excess_matrix(inst, flows)
+        assert scattered.shape == (inst.commodity_count, inst.vertex_count)
+        # The two sum in different orders; values stay below 50 here.
+        np.testing.assert_allclose(scattered, dense_excesses(inst, flows), rtol=0, atol=1e-12)
+
+    def test_scatter_rejects_transposed_flows(self):
+        # Same element count as (K, A) = (2, 3), so only the shape check catches it.
+        inst = Instance(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], [(0, 2, 1.0), (1, 0, 1.0)])
+        with pytest.raises(ValueError):
+            _excess_matrix(inst, np.ones((3, 2)))
+
     def test_zero_flow_at_source(self, one_arc):
         inst = one_arc(2.0, 1.0)
         pf = PseudoFlow.zeros(inst)

@@ -55,8 +55,6 @@ class TestConfig:
             {"tol": 0.0},
             {"tol": -1e-9},
             {"max_iters": 0},
-            {"armijo_beta": 1.0},
-            {"armijo_sigma": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
