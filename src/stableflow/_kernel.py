@@ -1,4 +1,4 @@
-"""Compiled Gauss-Seidel sweep and residual check, built on first use.
+"""Compiled Gauss-Seidel step and residual check, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -98,10 +98,9 @@ def load() -> ctypes.CDLL | None:
             _build(path)
         lib = ctypes.CDLL(path)
         state = ctypes.POINTER(_State)
-        lib.sf_sweep.argtypes = [state]
-        lib.sf_sweep.restype = None
-        lib.sf_residuals.argtypes = [state, ctypes.POINTER(ctypes.c_double)]
-        lib.sf_residuals.restype = None
+        for name in ("sf_step", "sf_residuals"):
+            getattr(lib, name).argtypes = [state, ctypes.POINTER(ctypes.c_double)]
+            getattr(lib, name).restype = None
     except (OSError, AttributeError):
         return None
     return lib
@@ -125,11 +124,11 @@ def _require(
 
 
 class Sweep:
-    """The compiled sweep and residual check bound to one solve's arrays.
+    """The compiled step and residual check bound to one solve's arrays.
 
     Every array is checked once here and its pointer stored, so a call
     converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
-    updated in place by :meth:`sweep` and must outlive this object, which
+    updated in place by :meth:`step` and must outlive this object, which
     keeps references to them.
     """
 
@@ -171,12 +170,17 @@ class Sweep:
             use_threshold,
         )
         self._ref = ctypes.byref(self._state)
-        self._out = (ctypes.c_double * 2)()
+        self._out = (ctypes.c_double * 3)()
         self._lib = lib
 
-    def sweep(self) -> None:
-        """One Gauss-Seidel sweep over every arc, in place."""
-        self._lib.sf_sweep(self._ref)
+    def step(self) -> tuple[float, float, float]:
+        """One Gauss-Seidel sweep over every arc, in place.
+
+        Returns the (slack-form objective, used residual, unused residual)
+        of the state the sweep leaves.
+        """
+        self._lib.sf_step(self._ref, self._out)
+        return self._out[0], self._out[1], self._out[2]
 
     def residuals(self) -> tuple[float, float]:
         """(used residual, unused residual) of the current state."""

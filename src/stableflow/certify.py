@@ -62,9 +62,11 @@ def default_zero_tolerance(inst: Instance) -> float:
     """Objective cutoff below which a minimum counts as zero.
 
     Scales with the squared total demand because the objective is quadratic
-    in the flow magnitudes.
+    in the flow magnitudes. A product, not ``** 2``: past ~1.3e154 the
+    square overflows to inf, where ``**`` raises ``OverflowError``.
     """
-    return 1e-9 * (1.0 + inst.total_demand) ** 2
+    scale = 1.0 + inst.total_demand
+    return 1e-9 * (scale * scale)
 
 
 def classify(

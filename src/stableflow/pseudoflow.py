@@ -20,6 +20,7 @@ certifies that no feasible flow exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -226,7 +227,16 @@ class StabilityReport(NamedTuple):
 
     @property
     def max_residual(self) -> float:
-        return max(self.used_arc_residual, self.unused_arc_residual)
+        return _max_residual(self.used_arc_residual, self.unused_arc_residual)
+
+
+def _max_residual(used: float, unused: float) -> float:
+    """The larger of two residuals, NaN when either is NaN.
+
+    Python's ``max`` keeps its first argument when the second is NaN, which
+    would read a NaN state as stable.
+    """
+    return math.nan if math.isnan(used) or math.isnan(unused) else max(used, unused)
 
 
 class FeasibilityCheck(NamedTuple):

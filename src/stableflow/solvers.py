@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +33,7 @@ from .pseudoflow import (
     StabilityReport,
     UnsupportedProfilesError,
     _excess_matrix,
+    _max_residual,
     _slack_objective,
     _stability_residuals,
     default_use_threshold,
@@ -146,14 +146,19 @@ def solve(
 ) -> SolveResult:
     """Run the method selected by ``cfg.method`` to stability.
 
-    One loop serves both methods, each supplying only its in-place step. It
-    stops when both stability residuals are within ``cfg.tol``, after
-    ``cfg.max_iters`` iterations, or when PGD finds no descent step;
-    ``converged`` is read off the final report, so the two always agree.
+    One loop serves both methods, each supplying only its in-place step,
+    which returns the step's trace row (objective, used residual, unused
+    residual). It stops when both stability residuals are within
+    ``cfg.tol``, at once when either is NaN, after ``cfg.max_iters``
+    iterations, or when PGD finds no descent step; ``converged`` is read off
+    the final report, so the two always agree.
 
-    The residual check and the coordinate sweep run in the compiled kernel
-    (``_sweep.c``) when it can be built and loaded, and otherwise in numpy
-    and :func:`_python_sweep`; both give bitwise the same result.
+    When the compiled kernel (``_sweep.c``) can be built and loaded, one
+    call runs the coordinate sweep, the objective and the residual check
+    (PGD uses it for the residual check only). Otherwise the sweep runs in
+    :func:`_python_sweep` and the rest in numpy. Both give bitwise the same
+    result: the kernel sums the objective in numpy's pairwise order, and the
+    compiled-vs-Python identity tests fail if a numpy release changes it.
     """
     cfg = cfg or SolverConfig()
     _require_identity(profiles or IDENTITY_PROFILES)
@@ -175,26 +180,28 @@ def solve(
         )[:2]
 
     if cfg.method is Method.PGD:
-        step = partial(_pgd_step, inst, flows, slacks, totals, excesses)
+        def step(value: float) -> tuple[float, float, float] | None:
+            new_value = _pgd_step(inst, flows, slacks, totals, excesses, value)
+            return None if new_value is None else (new_value, *residuals())
+    elif kernel is not None:
+        def step(value: float) -> tuple[float, float, float] | None:
+            return kernel.step()
     else:
-        sweep = partial(_python_sweep, *state) if kernel is None else kernel.sweep
-
-        def step(value: float) -> float | None:
-            sweep()
-            return _slack_objective(totals, slacks, caps, excesses)
+        def step(value: float) -> tuple[float, float, float] | None:
+            _python_sweep(*state)
+            return (_slack_objective(totals, slacks, caps, excesses), *residuals())
 
     value = _slack_objective(totals, slacks, caps, excesses)
     used_res, unused_res = residuals()
     trace = [TraceRow(0, value, used_res, unused_res)]
     iterations = 0
-    while max(used_res, unused_res) > cfg.tol and iterations < cfg.max_iters:
-        new_value = step(value)
-        if new_value is None:
+    while _max_residual(used_res, unused_res) > cfg.tol and iterations < cfg.max_iters:
+        new_row = step(value)
+        if new_row is None:
             break
         iterations += 1
-        value = new_value
-        used_res, unused_res = residuals()
-        if max(used_res, unused_res) <= cfg.tol:
+        value, used_res, unused_res = new_row
+        if _max_residual(used_res, unused_res) <= cfg.tol:
             # Totals and excesses are updated incrementally and drift from
             # the flows; re-derive them so the stop agrees with the report.
             np.sum(flows, axis=0, out=totals)

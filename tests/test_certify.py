@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -162,6 +163,26 @@ class TestClassify:
         small = Instance(2, [(0, 1, 1.0)], [(0, 1, 1.0)])
         large = Instance(2, [(0, 1, 1.0)], [(0, 1, 100.0)])
         assert default_zero_tolerance(large) > default_zero_tolerance(small)
+
+    def test_zero_tolerance_overflows_to_inf(self):
+        # (1 + total demand) ** 2 raised OverflowError past ~1.3e154, so
+        # classify crashed on this valid, finite instance.
+        inst = Instance(
+            3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, 1e200), (0, 2, 1e200)]
+        )
+        assert default_zero_tolerance(inst) == math.inf
+        with np.errstate(over="ignore"):
+            result = solve_coordinate(inst, SolverConfig(max_iters=50))
+            assert classify(inst, result).kind is VerdictKind.UNDECIDED
+
+    @pytest.mark.parametrize("slot", ["used_arc_residual", "unused_arc_residual"])
+    def test_nan_residual_is_undecided(self, one_arc, slot):
+        # max(0.0, nan) is 0.0 in Python: a NaN unused residual read as
+        # stable and this flow was classified FEASIBLE.
+        inst = one_arc(1.0, 1.0)
+        result = solve_coordinate(inst)
+        result.report = result.report._replace(**{slot: math.nan})
+        assert classify(inst, result).kind is VerdictKind.UNDECIDED
 
     def test_invalid_tolerances_rejected(self, one_arc):
         inst = one_arc(1.0, 1.0)

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from stableflow import parse_instance, serialize_instance
@@ -36,6 +37,13 @@ class TestSolve:
 
     def test_undecided_exit_two(self, instance_file, capsys):
         code = main(["solve", "--max-iters", "1", instance_file(INFEASIBLE)])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[0] == "verdict UNDECIDED"
+
+    def test_huge_demand_undecided_not_crash(self, instance_file, capsys):
+        huge = "p mcf 3 3 2\na 1 2 1\na 2 3 1\na 1 3 1\nc 1 3 1e200\nc 1 3 1e200\n"
+        with np.errstate(over="ignore"):
+            code = main(["solve", "--max-iters", "50", instance_file(huge)])
         assert code == 2
         assert capsys.readouterr().out.splitlines()[0] == "verdict UNDECIDED"
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,12 @@ class TestStabilityReport:
         report = stability_report(inst, pf)
         assert report.used_arc_residual == 0.0
         assert report.unused_arc_residual == 2.0
+
+    @pytest.mark.parametrize("used,unused", [(0.0, math.nan), (math.nan, 0.0)])
+    def test_nan_residual_in_either_slot_makes_max_nan(self, one_arc, used, unused):
+        report = stability_report(one_arc(1.0, 1.0), PseudoFlow(np.array([[1.0]]), np.zeros(1)))
+        report = report._replace(used_arc_residual=used, unused_arc_residual=unused)
+        assert math.isnan(report.max_residual)
 
     def test_multipliers_match_definition(self, one_arc):
         inst = one_arc(1.0, 1.0)

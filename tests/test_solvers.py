@@ -1,3 +1,4 @@
+import math
 import shlex
 import shutil
 import sys
@@ -26,7 +27,7 @@ from stableflow import (
     stability_report,
 )
 from stableflow import _kernel, solvers
-from stableflow.pseudoflow import IDENTITY_PROFILES, _stability_residuals
+from stableflow.pseudoflow import IDENTITY_PROFILES, _slack_objective, _stability_residuals
 
 PGD = SolverConfig(method=Method.PGD)
 COORD = SolverConfig(method=Method.COORDINATE)
@@ -239,6 +240,18 @@ def test_solvers_scale_past_desk_size():
     assert abs(coord.report.objective - pgd.report.objective) <= 1e-6
 
 
+@pytest.mark.parametrize("method", [Method.COORDINATE, Method.PGD])
+@pytest.mark.parametrize("residuals", [(1.0, math.nan), (math.nan, 1.0)])
+def test_nan_residual_stops_at_once(one_arc, monkeypatch, method, residuals):
+    # Python's max(1.0, nan) is 1.0: a NaN in the second slot used to read
+    # as a finite residual and the loop ran on to max_iters.
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    monkeypatch.setattr(solvers, "_stability_residuals", lambda *args: (*residuals, None))
+    result = solve(one_arc(1.0, 2.0), SolverConfig(method=method, max_iters=50))
+    assert result.iterations == 0 and len(result.trace) == 1
+    assert not result.converged
+
+
 class TestTrace:
     def test_trace_rows_and_csv(self, one_arc):
         result = solve_coordinate(one_arc(1.0, 2.0))
@@ -321,7 +334,24 @@ class TestCompiledKernel:
                 _python_only_solve(inst, cfg, warm_start=start),
             )
 
-    @pytest.mark.parametrize("shape", [(5, 12, 3), (4, 0, 2), (4, 6, 0), (2, 1, 1)])
+    # (vertices, arcs, commodities). The objective sums A gap terms and K*V
+    # excess terms in numpy's pairwise order, which branches at 8 and 128
+    # terms; the cases put both sums in each branch: empty, under 8, 8-128
+    # with and without a remainder mod 8, split past 128, and past numpy's
+    # 8192-element buffer.
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (5, 12, 3),
+            (4, 0, 2),
+            (4, 6, 0),
+            (2, 1, 1),
+            (6, 16, 20),
+            (3, 130, 2),
+            (67, 301, 3),
+            (8200, 8200, 1),
+        ],
+    )
     def test_sweep_and_residuals_match_reference(self, shape):
         lib = _kernel.load()
         if lib is None:
@@ -340,16 +370,18 @@ class TestCompiledKernel:
             rng.normal(0.0, 2.0, (n_commodities, n_vertices)),
         ]
         reference = [array.copy() for array in state]
-        sweep = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5)
+        kernel = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5)
         for _ in range(3):
-            sweep.sweep()
+            objective, used, unused = kernel.step()
             solvers._python_sweep(*reference, caps, tails, heads)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(state, reference))
-            flows_ref, _, totals_ref, excesses_ref = reference
+            flows_ref, slacks_ref, totals_ref, excesses_ref = reference
+            assert objective == _slack_objective(totals_ref, slacks_ref, caps, excesses_ref)
             expected = _stability_residuals(
                 flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5, IDENTITY_PROFILES
             )[:2]
-            assert sweep.residuals() == expected
+            assert (used, unused) == expected
+            assert kernel.residuals() == expected
 
 
 @pytest.fixture
@@ -428,7 +460,7 @@ class TestKernelArrayGuard:
         lib = _kernel.load()
         if lib is None:
             pytest.skip("no compiled kernel on this platform")
-        _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0).sweep()
+        _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0).step()
 
     @pytest.mark.parametrize(
         "name,bad",
