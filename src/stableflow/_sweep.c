@@ -5,9 +5,8 @@
  * is the one in solvers._python_sweep, pseudoflow._slack_objective and
  * pseudoflow._stability_residuals, evaluated in the same order, and the
  * build turns off contraction into fused multiply-adds, so results are
- * bitwise equal to the Python code. The objective's two sums follow numpy's
- * pairwise summation order; should a numpy release change that order, the
- * compiled-vs-Python identity tests fail.
+ * bitwise equal to the Python code. The objective's two sums are
+ * sequential, left to right.
  */
 #include <math.h>
 #include <stdint.h>
@@ -63,46 +62,10 @@ static void sweep(sf_state *s)
     }
 }
 
-/* Term i of a sum of squares: the slack gap (total + slack - cap) of arc i
- * when gaps is set, else entry i of the flat excess array. */
-static double square(const sf_state *s, int gaps, int64_t i)
-{
-    const double v = gaps ? s->totals[i] + s->slacks[i] - s->caps[i] : s->excesses[i];
-    return v * v;
-}
-
-/* Sum of square(s, gaps, i) over [lo, lo + n) in the order of numpy's
- * pairwise_sum: sequential below 8 terms, eight strided accumulators up to
- * 128, otherwise split at a multiple of 8 near the middle and recurse. */
-static double pairwise_squares(const sf_state *s, int gaps, int64_t lo, int64_t n)
-{
-    if (n < 8) {
-        double sum = 0.0;
-        for (int64_t i = lo; i < lo + n; i++)
-            sum += square(s, gaps, i);
-        return sum;
-    }
-    if (n <= 128) {
-        double r[8];
-        for (int j = 0; j < 8; j++)
-            r[j] = square(s, gaps, lo + j);
-        int64_t i;
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += square(s, gaps, lo + i + j);
-        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            sum += square(s, gaps, lo + i);
-        return sum;
-    }
-    const int64_t half = n / 2 - (n / 2) % 8;
-    return pairwise_squares(s, gaps, lo, half) + pairwise_squares(s, gaps, lo + half, n - half);
-}
-
 /* out[0]: largest |drop - psi| over pairs whose flow exceeds the use
  * threshold; out[1]: largest positive drop - psi over all pairs, where
  * drop = excess[tail] - excess[head] and psi = max(total - cap, 0). A NaN
- * anywhere makes the result NaN, as numpy's max does. */
+ * anywhere makes the result NaN, as the max in the Python code does. */
 void sf_residuals(const sf_state *s, double *out)
 {
     const int64_t n_arcs = s->n_arcs;
@@ -134,8 +97,13 @@ void sf_residuals(const sf_state *s, double *out)
 void sf_step(sf_state *s, double *out)
 {
     sweep(s);
-    const double gaps = pairwise_squares(s, 1, 0, s->n_arcs);
-    const double excesses = pairwise_squares(s, 0, 0, s->n_commodities * s->n_vertices);
+    double gaps = 0.0, excesses = 0.0;
+    for (int64_t a = 0; a < s->n_arcs; a++) {
+        const double gap = s->totals[a] + s->slacks[a] - s->caps[a];
+        gaps += gap * gap;
+    }
+    for (int64_t i = 0; i < s->n_commodities * s->n_vertices; i++)
+        excesses += s->excesses[i] * s->excesses[i];
     out[0] = 0.5 * gaps + 0.5 * excesses;
     sf_residuals(s, out + 1);
 }

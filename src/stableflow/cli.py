@@ -70,13 +70,16 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        method=Method.PGD if args.method == "pgd" else Method.COORDINATE,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        init=Init.ZERO if args.init == "zero" else Init.RANDOM,
-    )
+    try:
+        return SolverConfig(
+            method=Method.PGD if args.method == "pgd" else Method.COORDINATE,
+            tol=args.tol,
+            max_iters=args.max_iters,
+            seed=args.seed,
+            init=Init.ZERO if args.init == "zero" else Init.RANDOM,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -113,12 +116,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    cfg = _solver_config(args)
     try:
         inst = parse_instance(_read_input(args.instance))
     except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = solve(inst, _solver_config(args))
+    result = solve(inst, cfg)
     verdict = classify(inst, result)
     if args.trace:
         Path(args.trace).write_text(result.trace_csv(), encoding="utf-8")
@@ -168,6 +172,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    cfg = _solver_config(args)
     if (args.instance is None) == (args.random is None):
         print("error: verify needs an instance path or --random N", file=sys.stderr)
         return EXIT_USAGE
@@ -183,7 +188,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    cfg = _solver_config(args)
     disagreements = 0
     undecided = 0
     print("idx verdict oracle agree")
@@ -214,18 +218,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "solve": _cmd_solve,
         "check": _cmd_check,
         "generate": _cmd_generate,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        args = parser.parse_args(argv)
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -298,7 +298,12 @@ def _slack_objective(
     totals: np.ndarray, slacks: np.ndarray, caps: np.ndarray, excesses: np.ndarray
 ) -> float:
     gap = totals + slacks - caps
-    return 0.5 * float(np.sum(gap * gap)) + 0.5 * float(np.sum(excesses * excesses))
+    return 0.5 * _sequential_sum(gap * gap) + 0.5 * _sequential_sum(excesses * excesses)
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Sum of ``values`` in C order, added left to right, as ``_sweep.c`` sums."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def objective(
@@ -454,10 +459,12 @@ def parse_flow_dump(inst: Instance, text: str) -> np.ndarray:
     """Parse a flow dump back into a (commodity, arc) array for ``inst``.
 
     Raises:
-        FlowDumpError: On malformed lines, ids out of range, or endpoint
-            mismatches against the instance's arcs.
+        FlowDumpError: On malformed lines, ids out of range, endpoint
+            mismatches against the instance's arcs, or a second line for
+            the same (commodity, arc) pair.
     """
     flows = np.zeros((inst.commodity_count, inst.arc_count))
+    first_lines: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -492,6 +499,11 @@ def parse_flow_dump(inst: Instance, text: str) -> np.ndarray:
             raise FlowDumpError(
                 f"line {lineno}: arc {arc_id} endpoints ({tail}, {head}) do not match "
                 f"the instance's ({arc.tail + 1}, {arc.head + 1})"
+            )
+        first = first_lines.setdefault((k, arc_id), lineno)
+        if first != lineno:
+            raise FlowDumpError(
+                f"line {lineno}: commodity {k} on arc {arc_id} repeats line {first}"
             )
         flows[k - 1, arc_id - 1] = value
     return flows

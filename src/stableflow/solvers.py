@@ -17,6 +17,7 @@ profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -28,10 +29,8 @@ from .model import Instance
 from .pseudoflow import (
     IDENTITY_PROFILES,
     ObjectiveForm,
-    Profiles,
     PseudoFlow,
     StabilityReport,
-    UnsupportedProfilesError,
     _excess_matrix,
     _max_residual,
     _slack_objective,
@@ -70,8 +69,8 @@ class SolverConfig:
     init: Init = Init.ZERO
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -114,14 +113,6 @@ def _optimal_slacks(totals: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return np.clip(caps - totals, 0.0, caps)
 
 
-def _require_identity(profiles: Profiles) -> None:
-    if not profiles.is_identity:
-        raise UnsupportedProfilesError(
-            "solvers require identity profiles; evaluate general profiles "
-            "through the integral-form objective instead"
-        )
-
-
 def _initial_state(
     inst: Instance, cfg: SolverConfig, warm_start: PseudoFlow | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +132,6 @@ def _initial_state(
 def solve(
     inst: Instance,
     cfg: SolverConfig | None = None,
-    profiles: Profiles | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
     """Run the method selected by ``cfg.method`` to stability.
@@ -157,11 +147,9 @@ def solve(
     call runs the coordinate sweep, the objective and the residual check
     (PGD uses it for the residual check only). Otherwise the sweep runs in
     :func:`_python_sweep` and the rest in numpy. Both give bitwise the same
-    result: the kernel sums the objective in numpy's pairwise order, and the
-    compiled-vs-Python identity tests fail if a numpy release changes it.
+    result; both sum the objective sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
-    _require_identity(profiles or IDENTITY_PROFILES)
 
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
     threshold = default_use_threshold(inst)
@@ -218,23 +206,19 @@ def solve(
 def solve_pgd(
     inst: Instance,
     cfg: SolverConfig | None = None,
-    profiles: Profiles | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
     """Projected gradient descent with Armijo backtracking (see :func:`solve`)."""
-    return solve(inst, replace(cfg or SolverConfig(), method=Method.PGD), profiles, warm_start)
+    return solve(inst, replace(cfg or SolverConfig(), method=Method.PGD), warm_start)
 
 
 def solve_coordinate(
     inst: Instance,
     cfg: SolverConfig | None = None,
-    profiles: Profiles | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
     """Exact Gauss-Seidel coordinate descent (see :func:`solve`)."""
-    return solve(
-        inst, replace(cfg or SolverConfig(), method=Method.COORDINATE), profiles, warm_start
-    )
+    return solve(inst, replace(cfg or SolverConfig(), method=Method.COORDINATE), warm_start)
 
 
 def _pgd_step(

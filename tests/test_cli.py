@@ -83,6 +83,25 @@ class TestSolve:
     def test_usage_error_exit_ten(self, capsys):
         assert main(["solve", "--method", "nope", "-"]) == 10
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol", "0"],
+            ["--tol", "-1"],
+            ["--tol", "inf"],
+            ["--tol", "nan"],
+            ["--max-iters", "0"],
+        ],
+    )
+    def test_invalid_solver_flag_exit_ten(self, instance_file, capsys, flags):
+        # A feasible instance: without the check, --tol inf reads INFEASIBLE.
+        instance = "p mcf 2 1 1\na 1 2 5.0\nc 1 2 1.0\n"
+        code = main(["solve", *flags, instance_file(instance)])
+        captured = capsys.readouterr()
+        assert code == 10
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestCheck:
     def test_feasible_dump(self, instance_file, tmp_path, capsys):
@@ -113,6 +132,16 @@ class TestCheck:
         dump = tmp_path / "flow.dump"
         dump.write_text("f 1 1 2 7 1.0\n", encoding="utf-8")
         assert main(["check", inst_path, "--flow", str(dump)]) == 11
+
+    def test_repeated_pair_rejected(self, instance_file, tmp_path, capsys):
+        # The first line overloads the capacity-5 arc; the repeat would hide it.
+        inst_path = instance_file("p mcf 2 1 1\na 1 2 5.0\nc 1 2 1.0\n")
+        dump = tmp_path / "flow.dump"
+        dump.write_text("f 1 1 2 1 9.0\nf 1 1 2 1 1.0\n", encoding="utf-8")
+        assert main(["check", inst_path, "--flow", str(dump)]) == 11
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
 
     def test_solve_output_checks_clean(self, instance_file, tmp_path, capsys):
         # End to end: the dump printed for a FEASIBLE verdict passes check.
@@ -181,6 +210,13 @@ class TestVerify:
     def test_requires_exactly_one_input(self, instance_file, capsys):
         assert main(["verify"]) == 10
         assert main(["verify", instance_file(FEASIBLE), "--random", "5"]) == 10
+
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iters", "0"]])
+    def test_invalid_solver_flag_exit_ten(self, capsys, flags):
+        assert main(["verify", "--random", "2", *flags]) == 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -451,3 +451,8 @@ class TestFlowDump:
         inst = one_arc(1.0, 1.0)
         with pytest.raises(FlowDumpError, match="expected"):
             parse_flow_dump(inst, "f 1 1 2\n")
+
+    def test_repeated_pair_rejected_at_second_line(self, one_arc):
+        inst = one_arc(1.0, 1.0)
+        with pytest.raises(FlowDumpError, match="line 3: commodity 1 on arc 1 repeats line 2"):
+            parse_flow_dump(inst, "s 0.0 0.0 0.0\nf 1 1 2 1 9.0\nf 1 1 2 1 1.0\n")
