@@ -1,4 +1,4 @@
-"""Compiled Gauss-Seidel step and residual check, built on first use.
+"""Compiled Gauss-Seidel sweeps and residual check, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -29,6 +29,8 @@ CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # fuse the arithmetic, which breaks bitwise agreement with the Python loop.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
+# Most sweeps one Sweep.run call may run: the rows of its trace buffer.
+SEGMENT = 64
 
 
 class _State(ctypes.Structure):
@@ -46,6 +48,7 @@ class _State(ctypes.Structure):
         ("n_arcs", ctypes.c_int64),
         ("n_commodities", ctypes.c_int64),
         ("use_threshold", ctypes.c_double),
+        ("omega", ctypes.c_double),
     ]
 
 
@@ -98,9 +101,10 @@ def load() -> ctypes.CDLL | None:
             _build(path)
         lib = ctypes.CDLL(path)
         state = ctypes.POINTER(_State)
-        for name in ("sf_step", "sf_residuals"):
-            getattr(lib, name).argtypes = [state, ctypes.POINTER(ctypes.c_double)]
-            getattr(lib, name).restype = None
+        lib.sf_residuals.argtypes = [state, ctypes.POINTER(ctypes.c_double)]
+        lib.sf_residuals.restype = None
+        lib.sf_run.argtypes = [state, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
+        lib.sf_run.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     return lib
@@ -124,12 +128,13 @@ def _require(
 
 
 class Sweep:
-    """The compiled step and residual check bound to one solve's arrays.
+    """The compiled sweeps and residual check bound to one solve's arrays.
 
     Every array is checked once here and its pointer stored, so a call
     converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
-    updated in place by :meth:`step` and must outlive this object, which
-    keeps references to them.
+    updated in place by :meth:`run` and must outlive this object, which
+    keeps references to them. ``omega`` is the over-relaxation factor of
+    each flow step.
     """
 
     def __init__(
@@ -143,6 +148,7 @@ class Sweep:
         tails: np.ndarray,
         heads: np.ndarray,
         use_threshold: float,
+        omega: float,
     ) -> None:
         if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
             raise ValueError("flows must be a 2-d (commodity, arc) array")
@@ -168,19 +174,26 @@ class Sweep:
             n_arcs,
             n_commodities,
             use_threshold,
+            omega,
         )
         self._ref = ctypes.byref(self._state)
-        self._out = (ctypes.c_double * 3)()
+        self._rows = np.empty((SEGMENT, 3))
+        self._rows_ptr = self._rows.ctypes.data
+        self._out = (ctypes.c_double * 2)()
         self._lib = lib
 
-    def step(self) -> tuple[float, float, float]:
-        """One Gauss-Seidel sweep over every arc, in place.
+    def run(self, tol: float, n: int) -> list[list[float]]:
+        """Up to ``n`` sweeps over every arc, in place; 1 <= n <= SEGMENT.
 
-        Returns the (slack-form objective, used residual, unused residual)
-        of the state the sweep leaves.
+        Returns one (slack-form objective, used residual, unused residual)
+        row per sweep run, each of the state that sweep leaves. The run
+        stops after the first row whose larger residual is <= ``tol`` or
+        NaN.
         """
-        self._lib.sf_step(self._ref, self._out)
-        return self._out[0], self._out[1], self._out[2]
+        if not 1 <= n <= len(self._rows):
+            raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")
+        done = self._lib.sf_run(self._ref, tol, n, self._rows_ptr)
+        return self._rows[:done].tolist()
 
     def residuals(self) -> tuple[float, float]:
         """(used residual, unused residual) of the current state."""

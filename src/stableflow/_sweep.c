@@ -1,5 +1,11 @@
-/* Gauss-Seidel step of the slack-form objective: the sweep, the objective
- * and the stability residuals, in one call per sweep.
+/* Over-relaxed Gauss-Seidel sweeps of the slack-form objective. One call
+ * runs a segment of sweeps; after each sweep it writes the trace row (the
+ * objective and the stability residuals) and stops early once the state
+ * is stable or a residual is NaN.
+ *
+ * Each flow moves to max(0, x - omega * (g/3)). omega is set by the caller
+ * (solvers._OMEGA); with omega = 1.0 the product is exactly g/3, the plain
+ * Gauss-Seidel step.
  *
  * Compiled and loaded by _kernel.py. Every floating-point expression below
  * is the one in solvers._python_sweep, pseudoflow._slack_objective and
@@ -24,11 +30,12 @@ typedef struct {
     int64_t n_arcs;
     int64_t n_commodities;
     double use_threshold;
+    double omega;         /* over-relaxation factor of the flow step, in (0, 2) */
 } sf_state;
 
 /* One sweep: arcs ascending, the arc's slack first, then each commodity's
- * flow moves to max(0, x - g/3). Updates flows, slacks, totals and
- * excesses in place. */
+ * flow moves to max(0, x - omega * (g/3)). Updates flows, slacks, totals
+ * and excesses in place. */
 static void sweep(sf_state *s)
 {
     const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
@@ -48,7 +55,7 @@ static void sweep(sf_state *s)
             double *flow = s->flows + k * n_arcs + a;
             const double grad = (total + slack - cap) + excess[head] - excess[tail];
             const double current = *flow;
-            const double target = current - grad / 3.0;
+            const double target = current - s->omega * (grad / 3.0);
             const double moved = target > 0.0 ? target : 0.0;
             const double delta = moved - current;
             if (delta != 0.0) {
@@ -94,7 +101,7 @@ void sf_residuals(const sf_state *s, double *out)
 /* One sweep, then out[0]: the slack-form objective
  * 0.5 * sum(gap^2) + 0.5 * sum(excess^2), and out[1], out[2]: the
  * residuals of sf_residuals, all of the state after the sweep. */
-void sf_step(sf_state *s, double *out)
+static void sf_step(sf_state *s, double *out)
 {
     sweep(s);
     double gaps = 0.0, excesses = 0.0;
@@ -106,4 +113,19 @@ void sf_step(sf_state *s, double *out)
         excesses += s->excesses[i] * s->excesses[i];
     out[0] = 0.5 * gaps + 0.5 * excesses;
     sf_residuals(s, out + 1);
+}
+
+/* Up to n sweeps; sweep i writes its sf_step row to rows[3i .. 3i+2].
+ * Returns the number of sweeps run: it stops after the first row whose
+ * larger residual is <= tol or NaN, the rows that end solvers.solve's loop. */
+int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double *row = rows + 3 * i;
+        sf_step(s, row);
+        const double used = row[1], unused = row[2];
+        if (used != used || unused != unused || (used <= tol && unused <= tol))
+            return i + 1;
+    }
+    return n;
 }

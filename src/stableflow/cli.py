@@ -11,6 +11,7 @@ Exit codes: 0 FEASIBLE / ok, 1 INFEASIBLE / check failed, 2 UNDECIDED,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -135,6 +136,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:
+        raise _UsageError(f"tol must be positive and finite, got {args.tol}")
     try:
         inst = parse_instance(_read_input(args.instance))
     except (InstanceError, OSError) as exc:

@@ -5,11 +5,18 @@ quadratic: flows >= 0, slacks in [0, capacity]) and stop when the stability
 residuals fall below the configured tolerance:
 
 * PGD: projected gradient descent with Armijo backtracking from step 1.
-* COORDINATE: deterministic Gauss-Seidel sweeps; per arc, the slack is set
-  to its exact minimizer, then each commodity's flow on the arc takes its
-  exact single-coordinate minimizer (the restricted objective is a parabola
-  with curvature 3: one unit from the arc term and one from each endpoint's
-  excess term).
+* COORDINATE: deterministic, projected over-relaxed Gauss-Seidel sweeps
+  (projected SOR); per arc, the slack is set to its exact minimizer, then
+  each commodity's flow on the arc moves to max(0, x - omega * (g/3)). The
+  objective restricted to one flow is a parabola with curvature 3 (one unit
+  from the arc term and one from each endpoint's excess term), so g/3 is
+  the step to its exact minimizer and omega = 1 is plain Gauss-Seidel.
+  A step d changes the objective by g*d + 1.5*d**2, which is <= 0 for any
+  d between 0 and -2g/3. For any omega in (0, 2) the unprojected step
+  -omega*g/3 lies there, and projecting onto x >= 0 only shortens it, so
+  no update raises the objective and every trace is monotone. The fixed
+  points are those of omega = 1: x = max(0, x - omega*g/3) holds exactly
+  when x = max(0, x - g/3).
 
 Identity profiles only; the slack-form rewrite does not exist for general
 profiles.
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +50,10 @@ from .pseudoflow import (
 # PGD backtracking: shrink factor of the step and sufficient-decrease fraction.
 ARMIJO_BETA = 0.5
 ARMIJO_SIGMA = 1e-4
+# Over-relaxation factor of the coordinate flow step; any value in (0, 2)
+# descends. 1.5 takes a quarter to a third fewer sweeps than 1 on the bench
+# corpora (median desk 27 -> 18, tight 136 -> 100, large 42 -> 29).
+_OMEGA = 1.5
 
 
 class Method(Enum):
@@ -137,17 +148,19 @@ def solve(
     """Run the method selected by ``cfg.method`` to stability.
 
     One loop serves both methods, each supplying only its in-place step,
-    which returns the step's trace row (objective, used residual, unused
-    residual). It stops when both stability residuals are within
-    ``cfg.tol``, at once when either is NaN, after ``cfg.max_iters``
-    iterations, or when PGD finds no descent step; ``converged`` is read off
-    the final report, so the two always agree.
+    which returns a list of trace rows (objective, used residual, unused
+    residual), one per iteration it ran. It stops when both stability
+    residuals are within ``cfg.tol``, at once when either is NaN, after
+    ``cfg.max_iters`` iterations, or when PGD finds no descent step;
+    ``converged`` is read off the final report, so the two always agree.
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, one
-    call runs the coordinate sweep, the objective and the residual check
-    (PGD uses it for the residual check only). Otherwise the sweep runs in
-    :func:`_python_sweep` and the rest in numpy. Both give bitwise the same
-    result; both sum the objective sequentially, left to right.
+    call runs a segment of up to ``_kernel.SEGMENT`` coordinate sweeps, each
+    with its objective and residual check, and returns early on a row that
+    stops the loop (PGD uses the kernel for the residual check only).
+    Otherwise one sweep at a time runs in :func:`_python_sweep` and the rest
+    in numpy. Both give bitwise the same result; both sum the objective
+    sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
 
@@ -158,7 +171,7 @@ def solve(
     excesses = _excess_matrix(inst, flows)
     state = (flows, slacks, totals, excesses, caps, tails, heads)
     lib = _kernel.load()
-    kernel = None if lib is None else _kernel.Sweep(lib, *state, threshold)
+    kernel = None if lib is None else _kernel.Sweep(lib, *state, threshold, _OMEGA)
 
     def residuals() -> tuple[float, float]:
         if kernel is not None:
@@ -167,28 +180,34 @@ def solve(
             flows, totals, excesses, caps, tails, heads, threshold, IDENTITY_PROFILES
         )[:2]
 
+    # Each step runs at most n iterations and returns their trace rows; an
+    # empty list means PGD found no descent step.
     if cfg.method is Method.PGD:
-        def step(value: float) -> tuple[float, float, float] | None:
+        def step(value: float, n: int) -> list[Sequence[float]]:
             new_value = _pgd_step(inst, flows, slacks, totals, excesses, value)
-            return None if new_value is None else (new_value, *residuals())
+            return [] if new_value is None else [(new_value, *residuals())]
     elif kernel is not None:
-        def step(value: float) -> tuple[float, float, float] | None:
-            return kernel.step()
+        def step(value: float, n: int) -> list[Sequence[float]]:
+            return kernel.run(cfg.tol, n)
     else:
-        def step(value: float) -> tuple[float, float, float] | None:
+        def step(value: float, n: int) -> list[Sequence[float]]:
             _python_sweep(*state)
-            return (_slack_objective(totals, slacks, caps, excesses), *residuals())
+            return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
 
     value = _slack_objective(totals, slacks, caps, excesses)
     used_res, unused_res = residuals()
     trace = [TraceRow(0, value, used_res, unused_res)]
     iterations = 0
     while _max_residual(used_res, unused_res) > cfg.tol and iterations < cfg.max_iters:
-        new_row = step(value)
-        if new_row is None:
+        rows = step(value, min(_kernel.SEGMENT, cfg.max_iters - iterations))
+        if not rows:
             break
+        # Only the last row can stop the loop; the kernel returns on it.
+        *passed, (value, used_res, unused_res) = rows
+        for row in passed:
+            iterations += 1
+            trace.append(TraceRow(iterations, *row))
         iterations += 1
-        value, used_res, unused_res = new_row
         if _max_residual(used_res, unused_res) <= cfg.tol:
             # Totals and excesses are updated incrementally and drift from
             # the flows; re-derive them so the stop agrees with the report.
@@ -217,7 +236,7 @@ def solve_coordinate(
     cfg: SolverConfig | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
-    """Exact Gauss-Seidel coordinate descent (see :func:`solve`)."""
+    """Projected over-relaxed Gauss-Seidel coordinate descent (see :func:`solve`)."""
     return solve(inst, replace(cfg or SolverConfig(), method=Method.COORDINATE), warm_start)
 
 
@@ -274,11 +293,13 @@ def _python_sweep(
     caps: np.ndarray,
     tails: np.ndarray,
     heads: np.ndarray,
+    omega: float = _OMEGA,
 ) -> None:
-    """One Gauss-Seidel sweep in place; the reference for ``_sweep.c``.
+    """One over-relaxed Gauss-Seidel sweep in place; the reference for ``_sweep.c``.
 
     Arcs ascending, the arc's slack first, then commodities ascending; each
-    flow moves to max(0, flow - g/3), g its slack-form gradient component.
+    flow moves to max(0, flow - omega * (g/3)), g its slack-form gradient
+    component.
     """
     tail_list = tails.tolist()
     head_list = heads.tolist()
@@ -292,7 +313,7 @@ def _python_sweep(
         for k in range(n_commodities):
             grad = (total + slack - cap) + excesses[k, head] - excesses[k, tail]
             current = flows[k, a]
-            target = current - grad / 3.0
+            target = current - omega * (grad / 3.0)
             new = target if target > 0.0 else 0.0
             delta = new - current
             if delta != 0.0:

@@ -143,6 +143,18 @@ class TestCheck:
         assert captured.out == ""
         assert "line 2" in captured.err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_invalid_tol_exit_ten(self, instance_file, tmp_path, capsys, tol):
+        # An exact feasible dump: without the check, nan and -1 print
+        # "ok false" and inf passes any dump.
+        inst_path = instance_file("p mcf 2 1 1\na 1 2 5.0\nc 1 2 1.0\n")
+        dump = tmp_path / "flow.dump"
+        dump.write_text("f 1 1 2 1 1.0\n", encoding="utf-8")
+        assert main(["check", inst_path, "--flow", str(dump), "--tol", tol]) == 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_solve_output_checks_clean(self, instance_file, tmp_path, capsys):
         # End to end: the dump printed for a FEASIBLE verdict passes check.
         inst_path = instance_file(FEASIBLE)

@@ -25,7 +25,12 @@ from stableflow import (
     stability_report,
 )
 from stableflow import _kernel, solvers
-from stableflow.pseudoflow import IDENTITY_PROFILES, _slack_objective, _stability_residuals
+from stableflow.pseudoflow import (
+    IDENTITY_PROFILES,
+    _excess_matrix,
+    _slack_objective,
+    _stability_residuals,
+)
 
 PGD = SolverConfig(method=Method.PGD)
 COORD = SolverConfig(method=Method.COORDINATE)
@@ -93,15 +98,38 @@ class TestPgd:
         assert result.report.objective == 0.0
 
 
+def _zero_state(inst):
+    """(flows, slacks, totals, excesses) of the zero flow, slacks at capacity."""
+    flows = np.zeros((inst.commodity_count, inst.arc_count))
+    return [flows, inst.capacities.copy(), flows.sum(axis=0), _excess_matrix(inst, flows)]
+
+
 class TestCoordinate:
     def test_first_sweep_hand_simulation(self, one_arc):
-        # From zero state: slack fills capacity, then the flow coordinate
-        # moves to max(0, 0 - (-2)/3) = 2/3.
+        # Plain Gauss-Seidel, omega = 1. From zero state: slack fills
+        # capacity, then the flow coordinate moves to max(0, 0 - (-2)/3) = 2/3.
+        inst = one_arc(1.0, 1.0)
+        caps, tails, heads = inst.capacities, inst.tails, inst.heads
+        state = _zero_state(inst)
+        before = _slack_objective(state[2], state[1], caps, state[3])
+        solvers._python_sweep(*state, caps, tails, heads, omega=1.0)
+        flows, slacks, totals, excesses = state
+        assert flows[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+        assert _slack_objective(totals, slacks, caps, excesses) < before
+        residuals = _stability_residuals(
+            flows, totals, excesses, caps, tails, heads, 0.0, IDENTITY_PROFILES
+        )
+        assert max(residuals[:2]) > SolverConfig().tol
+
+    def test_first_sweep_over_relaxed(self, one_arc):
+        # The default omega = 1.5 overshoots the coordinate minimizer 2/3 to
+        # max(0, 0 - 1.5 * (-2/3)) = 1.0, which routes the whole demand.
         inst = one_arc(1.0, 1.0)
         result = solve_coordinate(inst, SolverConfig(max_iters=1))
+        assert solvers._OMEGA == 1.5
         assert result.iterations == 1
-        assert not result.converged
-        assert result.flow.flows[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+        assert result.converged
+        assert result.flow.flows[0, 0] == 1.0
         assert result.trace[1].objective < result.trace[0].objective
 
     def test_one_arc_overloaded_fixed_point(self, one_arc):
@@ -312,6 +340,10 @@ def _identity_cases():
     return [pytest.param(inst, cfg, id=name) for name, inst, cfg in cases]
 
 
+# Residuals are >= 0, so no row meets this tolerance and no run stops early.
+NEVER_STABLE = -1.0
+
+
 def _loop_sum_of_squares(values):
     total = 0.0
     for value in values:
@@ -368,9 +400,12 @@ class TestCompiledKernel:
             rng.normal(0.0, 2.0, (n_commodities, n_vertices)),
         ]
         reference = [array.copy() for array in state]
-        kernel = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5)
+        start = [array.copy() for array in state]
+        kernel = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5, solvers._OMEGA)
+        rows = []
         for _ in range(3):
-            objective, used, unused = kernel.step()
+            ((objective, used, unused),) = kernel.run(NEVER_STABLE, 1)
+            rows.append([objective, used, unused])
             solvers._python_sweep(*reference, caps, tails, heads)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(state, reference))
             flows_ref, slacks_ref, totals_ref, excesses_ref = reference
@@ -385,6 +420,45 @@ class TestCompiledKernel:
             )[:2]
             assert (used, unused) == expected
             assert kernel.residuals() == expected
+        # One call of three sweeps gives the same rows and state.
+        segment = _kernel.Sweep(lib, *start, caps, tails, heads, 0.5, solvers._OMEGA)
+        assert segment.run(NEVER_STABLE, 3) == rows
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(start, reference))
+
+
+def _segment_cases():
+    # max_iters 9 and 41 end partway through segments of 2 and 7; the
+    # uncapped desk solves stop on a converged row inside a segment.
+    desk = desk_scale_batch(6, seed=23)
+    cases = [(f"desk{i}", inst, COORD) for i, inst in enumerate(desk)]
+    cases += [(f"desk{i}-cap9", inst, SolverConfig(max_iters=9)) for i, inst in enumerate(desk)]
+    cases += [(f"tight{s}-cap41", _tight_instance(s), SolverConfig(max_iters=41)) for s in (4, 5)]
+    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in cases]
+
+
+class TestSegments:
+    @pytest.mark.parametrize("inst,cfg", _segment_cases())
+    @pytest.mark.parametrize("segment", [1, 2, 7])
+    def test_segment_boundaries_match_python_loop(self, monkeypatch, segment, inst, cfg):
+        monkeypatch.setattr(_kernel, "SEGMENT", segment)
+        assert_bitwise_same(solve_coordinate(inst, cfg), _python_only_solve(inst, cfg))
+
+    @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
+    def test_nan_residual_stops_inside_segment(self, monkeypatch, segment):
+        # Five commodities of demand 1e308 overflow the arc totals in the
+        # first sweep; the unused residual turns NaN at the second.
+        monkeypatch.setattr(_kernel, "SEGMENT", segment)
+        inst = Instance(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, 1e308)] * 5)
+        cfg = SolverConfig(max_iters=50)
+        with np.errstate(all="ignore"):
+            compiled = solve_coordinate(inst, cfg)
+            reference = _python_only_solve(inst, cfg)
+        assert compiled.iterations == 2 and len(compiled.trace) == 3
+        assert not any(math.isnan(v) for row in compiled.trace[:2] for v in row[2:])
+        assert math.isnan(compiled.trace[2].unused_residual)
+        assert not compiled.converged
+        assert compiled.trace_csv() == reference.trace_csv()
+        assert compiled.flow.flows.tobytes() == reference.flow.flows.tobytes()
 
 
 @pytest.fixture
@@ -463,7 +537,8 @@ class TestKernelArrayGuard:
         lib = _kernel.load()
         if lib is None:
             pytest.skip("no compiled kernel on this platform")
-        _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0).step()
+        kernel = _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
+        kernel.run(1e-8, 1)
 
     @pytest.mark.parametrize(
         "name,bad",
@@ -487,7 +562,16 @@ class TestKernelArrayGuard:
         arrays = self.arrays()
         arrays[name] = bad(arrays[name])
         with pytest.raises(ValueError):
-            _kernel.Sweep(lib, **arrays, use_threshold=0.0)
+            _kernel.Sweep(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+
+    @pytest.mark.parametrize("n", [0, -1, _kernel.SEGMENT + 1])
+    def test_run_length_outside_buffer_rejected(self, n):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        kernel = _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
+        with pytest.raises(ValueError, match="n must lie in"):
+            kernel.run(1e-8, n)
 
     def test_read_only_output_rejected(self):
         lib = _kernel.load()
@@ -496,4 +580,4 @@ class TestKernelArrayGuard:
         arrays = self.arrays()
         arrays["flows"].setflags(write=False)
         with pytest.raises(ValueError, match="writable"):
-            _kernel.Sweep(lib, **arrays, use_threshold=0.0)
+            _kernel.Sweep(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
