@@ -73,11 +73,10 @@ def classify(
     inst: Instance,
     result: SolveResult,
     zero_tol: float | None = None,
-    stab_tol: float | None = None,
 ) -> Verdict:
     """Classify a solve result as FEASIBLE, INFEASIBLE, or UNDECIDED.
 
-    With residuals within ``stab_tol`` (default: the solver's tolerance):
+    With residuals within the solver's tolerance (``result.config.tol``):
     objective <= ``zero_tol`` means FEASIBLE, objective > 10 * ``zero_tol``
     means INFEASIBLE with the state as certificate. Anything else, including
     unconverged results and the gray zone between the thresholds, is
@@ -87,16 +86,14 @@ def classify(
     """
     if zero_tol is None:
         zero_tol = default_zero_tolerance(inst)
-    if stab_tol is None:
-        stab_tol = result.config.tol
-    if zero_tol <= 0 or stab_tol <= 0:
-        raise ValueError("zero_tol and stab_tol must be positive")
+    if not zero_tol > 0:  # NaN fails too; inf is the default's overflow
+        raise ValueError("zero_tol must be positive")
 
     report = result.report
     summary = ResidualSummary(
         report.objective, report.used_arc_residual, report.unused_arc_residual
     )
-    stable = report.max_residual <= stab_tol
+    stable = report.max_residual <= result.config.tol
     if stable and report.objective <= zero_tol:
         # 1e-6 of the data's magnitude when that is below 1: an absolute
         # 1e-6 passes a flow that misses demands of that size outright. The

@@ -7,35 +7,27 @@ arc. Two derived quantities drive everything else:
 * the excess of a commodity at a vertex: inflow minus outflow, with the
   commodity's demand injected at its source and withdrawn at its sink;
 * the congestion of an arc: zero while total flow is within capacity, then
-  the overload fed through a congestion profile.
+  the overload above it.
 
-Heights are excesses passed through a height profile. This module evaluates
-the convex objective that penalizes congestion and imbalance, its gradient,
-and the stability residuals that characterize a minimizer: on arcs carrying
-a commodity the height drop across the arc equals the congestion, and on
-every arc it is at most the congestion. A state where both residuals vanish
-together with the objective is a feasible flow; a nonzero stable state
-certifies that no feasible flow exists.
+The height of a commodity at a vertex is its excess there. This module
+evaluates the convex objective that penalizes congestion and imbalance, its
+gradient, and the stability residuals that characterize a minimizer: on arcs
+carrying a commodity the height drop across the arc equals the congestion,
+and on every arc it is at most the congestion. A state where both residuals
+vanish together with the objective is a feasible flow; a nonzero stable
+state certifies that no feasible flow exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import Instance
-
-
-class ProfileError(ValueError):
-    """A profile violates its monotonicity/zero-at-zero requirements."""
-
-
-class UnsupportedProfilesError(ValueError):
-    """The slack-form objective and the solvers require identity profiles."""
 
 
 class FlowDumpError(ValueError):
@@ -45,118 +37,15 @@ class FlowDumpError(ValueError):
 class ObjectiveForm(Enum):
     """How the objective is evaluated.
 
-    INTEGRAL evaluates the exact penalties from the flows alone: the
-    congestion antiderivative of each arc total plus the height
-    antiderivative of each excess. SLACK replaces the congestion term with
-    a plain quadratic in (flow total + slack - capacity) using the stored
-    slacks, which makes the whole objective a box-constrained quadratic;
-    identity profiles only.
+    INTEGRAL evaluates the exact penalties from the flows alone: half the
+    squared overload of each arc plus half the squared excess of each
+    (commodity, vertex). SLACK replaces the overload term with half the
+    square of (flow total + slack - capacity) using the stored slacks, which
+    makes the whole objective a box-constrained quadratic.
     """
 
     INTEGRAL = "integral"
     SLACK = "slack"
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _quad_zero_to(fn: Callable[[float], float], upper: float) -> float:
-    # Signed Gauss-Legendre integral of fn over [0, upper].
-    half = upper / 2.0
-    return half * float(
-        sum(w * fn(half * (x + 1.0)) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Profiles:
-    """Pluggable height and congestion shape functions.
-
-    ``height_profile`` must be strictly increasing with value 0 at 0;
-    ``congestion_profile`` must be 0 at 0 and strictly increasing for
-    nonnegative arguments. Both requirements are spot-checked on a sample
-    grid at construction. The optional antiderivatives (from 0) make the
-    penalty evaluation exact; without them a 64-point Gauss-Legendre rule
-    is used.
-
-    The slack-form objective and both solvers work only with the identity
-    profiles; ``is_identity`` marks the instances built by
-    :meth:`identity`, which also enables fast vectorized paths.
-    """
-
-    height_profile: Callable[[float], float]
-    congestion_profile: Callable[[float], float]
-    height_integral: Callable[[float], float] | None = None
-    congestion_integral: Callable[[float], float] | None = None
-    is_identity: bool = field(default=False)
-
-    def __post_init__(self) -> None:
-        h, g = self.height_profile, self.congestion_profile
-        if abs(h(0.0)) > 1e-12:
-            raise ProfileError("height profile must be 0 at 0")
-        samples = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
-        values = [h(x) for x in samples]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ProfileError("height profile must be strictly increasing")
-        if abs(g(0.0)) > 1e-12:
-            raise ProfileError("congestion profile must be 0 at 0")
-        g_values = [g(x) for x in (0.0, 0.25, 1.0, 3.0)]
-        if any(b <= a for a, b in zip(g_values, g_values[1:])):
-            raise ProfileError("congestion profile must be strictly increasing for x >= 0")
-
-    @classmethod
-    def identity(cls) -> "Profiles":
-        """Default profiles: height(x) = x and congestion overload g(x) = x."""
-        return cls(
-            height_profile=lambda x: x,
-            congestion_profile=lambda x: x,
-            height_integral=lambda x: 0.5 * x * x,
-            congestion_integral=lambda x: 0.5 * x * x,
-            is_identity=True,
-        )
-
-    @classmethod
-    def quadratic_congestion(cls) -> "Profiles":
-        """Identity height with quadratic overload penalty g(x) = x**2."""
-        return cls(
-            height_profile=lambda x: x,
-            congestion_profile=lambda x: x * x,
-            height_integral=lambda x: 0.5 * x * x,
-            congestion_integral=lambda x: x * x * x / 3.0,
-        )
-
-    # Vectorized application helpers; identity short-circuits to array ops.
-
-    def heights(self, excesses: np.ndarray) -> np.ndarray:
-        if self.is_identity:
-            return excesses
-        return np.vectorize(self.height_profile, otypes=[float])(excesses)
-
-    def congestions(self, overloads: np.ndarray) -> np.ndarray:
-        clipped = np.maximum(overloads, 0.0)
-        if self.is_identity:
-            return clipped
-        return np.vectorize(self.congestion_profile, otypes=[float])(clipped)
-
-    def height_penalty(self, excesses: np.ndarray) -> float:
-        if self.is_identity:
-            return 0.5 * float(np.sum(excesses * excesses))
-        integral = self.height_integral
-        if integral is None:
-            integral = lambda x: _quad_zero_to(self.height_profile, x)  # noqa: E731
-        return float(sum(integral(float(x)) for x in np.ravel(excesses)))
-
-    def congestion_penalty(self, overloads: np.ndarray) -> float:
-        if self.is_identity:
-            clipped = np.maximum(overloads, 0.0)
-            return 0.5 * float(np.sum(clipped * clipped))
-        integral = self.congestion_integral
-        if integral is None:
-            integral = lambda x: _quad_zero_to(self.congestion_profile, x)  # noqa: E731
-        return float(sum(integral(float(x)) for x in np.ravel(overloads) if x > 0))
-
-
-IDENTITY_PROFILES = Profiles.identity()
 
 
 @dataclass(eq=False)
@@ -191,12 +80,19 @@ class PseudoFlow:
         return cls(np.zeros((inst.commodity_count, inst.arc_count)), inst.capacities)
 
     def validate(self, inst: Instance) -> None:
-        """Check dimensions against ``inst`` and the slack box constraints."""
+        """Check dimensions against ``inst``, finite flows and slacks in [0, capacity].
+
+        Construction lets NaN through (``NaN < 0`` is false) and allows
+        ``inf``, so a state built from overflowed solver arrays still
+        exists; this is the gate a warm start must pass.
+        """
         expected = (inst.commodity_count, inst.arc_count)
         if self.flows.shape != expected:
             raise ValueError(f"flows shape {self.flows.shape} does not match {expected}")
-        if self.slacks.size and float((self.slacks - inst.capacities).max()) > 0:
-            raise ValueError("slacks exceed arc capacities")
+        if not np.isfinite(self.flows).all():
+            raise ValueError("flows must be finite")
+        if not (self.slacks <= inst.capacities).all():
+            raise ValueError("slacks exceed arc capacities or are NaN")
 
     def copy(self) -> "PseudoFlow":
         return PseudoFlow(self.flows.copy(), self.slacks.copy())
@@ -285,13 +181,18 @@ def excess(inst: Instance, pf: PseudoFlow, vertex: int, commodity: int) -> float
     return float(_excess_matrix(inst, pf.flows)[commodity, vertex])
 
 
-def congestion(flow_total: float, capacity: float, profiles: Profiles | None = None) -> float:
-    """Congestion of an arc: 0 up to capacity, profile of the overload above."""
-    profiles = profiles or IDENTITY_PROFILES
+def congestion(flow_total: float, capacity: float) -> float:
+    """Congestion of an arc: 0 up to capacity, the overload above it."""
     overload = flow_total - capacity
-    if overload <= 0:
+    if overload <= 0:  # not ``max(0, ...)``: NaN stays NaN
         return 0.0
-    return float(profiles.congestion_profile(overload))
+    return float(overload)
+
+
+def _integral_objective(congestions: np.ndarray, excesses: np.ndarray) -> float:
+    return 0.5 * float(np.sum(congestions * congestions)) + 0.5 * float(
+        np.sum(excesses * excesses)
+    )
 
 
 def _slack_objective(
@@ -307,50 +208,37 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 def objective(
-    inst: Instance,
-    pf: PseudoFlow,
-    profiles: Profiles | None = None,
-    form: ObjectiveForm = ObjectiveForm.INTEGRAL,
+    inst: Instance, pf: PseudoFlow, form: ObjectiveForm = ObjectiveForm.INTEGRAL
 ) -> float:
     """Convex congestion + imbalance objective of a pseudo-flow.
 
     The integral form is exact in the flows alone; the slack form uses the
     stored slacks and equals the integral form once slacks are optimal.
     """
-    profiles = profiles or IDENTITY_PROFILES
     totals = pf.arc_totals()
     caps = inst.capacities
     excesses = _excess_matrix(inst, pf.flows)
     if form is ObjectiveForm.INTEGRAL:
-        return profiles.congestion_penalty(totals - caps) + profiles.height_penalty(excesses)
-    if not profiles.is_identity:
-        raise UnsupportedProfilesError("slack-form objective requires identity profiles")
+        return _integral_objective(np.maximum(totals - caps, 0.0), excesses)
     return _slack_objective(totals, pf.slacks, caps, excesses)
 
 
 def gradient(
-    inst: Instance,
-    pf: PseudoFlow,
-    profiles: Profiles | None = None,
-    form: ObjectiveForm = ObjectiveForm.INTEGRAL,
+    inst: Instance, pf: PseudoFlow, form: ObjectiveForm = ObjectiveForm.INTEGRAL
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Gradient of :func:`objective`.
 
     Integral form: returns the (commodity, arc) array whose (k, a) entry is
-    congestion(a) + height(head excess) - height(tail excess). Slack form:
-    returns (flow gradient, slack gradient) with the congestion replaced by
-    the slack gap (flow total + slack - capacity).
+    congestion(a) + excess(head) - excess(tail). Slack form: returns (flow
+    gradient, slack gradient) with the congestion replaced by the slack gap
+    (flow total + slack - capacity).
     """
-    profiles = profiles or IDENTITY_PROFILES
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
     totals = pf.arc_totals()
     excesses = _excess_matrix(inst, pf.flows)
-    heights = profiles.heights(excesses)
     if form is ObjectiveForm.INTEGRAL:
-        psi = profiles.congestions(totals - caps)
-        return psi[None, :] + heights[:, heads] - heights[:, tails]
-    if not profiles.is_identity:
-        raise UnsupportedProfilesError("slack-form gradient requires identity profiles")
+        psi = np.maximum(totals - caps, 0.0)
+        return psi[None, :] + excesses[:, heads] - excesses[:, tails]
     gap = totals + pf.slacks - caps
     flow_grad = gap[None, :] + excesses[:, heads] - excesses[:, tails]
     return flow_grad, gap.copy()
@@ -364,10 +252,9 @@ def _stability_residuals(
     tails: np.ndarray,
     heads: np.ndarray,
     use_threshold: float,
-    profiles: Profiles,
 ) -> tuple[float, float, np.ndarray]:
     """(used residual, unused residual, multipliers) from array state."""
-    psi = profiles.congestions(totals - caps)
+    psi = np.maximum(totals - caps, 0.0)
     drop_minus_psi = heights[:, tails] - heights[:, heads] - psi[None, :]
     used = flows > use_threshold
     used_res = float(np.abs(drop_minus_psi[used]).max()) if used.any() else 0.0
@@ -376,38 +263,33 @@ def _stability_residuals(
 
 
 def stability_report(
-    inst: Instance,
-    pf: PseudoFlow,
-    profiles: Profiles | None = None,
-    use_threshold: float | None = None,
+    inst: Instance, pf: PseudoFlow, use_threshold: float | None = None
 ) -> StabilityReport:
     """Evaluate the stability conditions of a pseudo-flow.
 
     An arc is used by a commodity when its flow exceeds ``use_threshold``
-    (default: scale-aware near-zero cutoff). Both residuals are zero exactly
-    at a stable pseudo-flow; the implied multipliers are then zero on used
-    arcs and nonnegative everywhere.
+    (default: scale-aware near-zero cutoff; it must be finite and >= 0).
+    Both residuals are zero exactly at a stable pseudo-flow; the implied
+    multipliers are then zero on used arcs and nonnegative everywhere.
     """
-    profiles = profiles or IDENTITY_PROFILES
     if use_threshold is None:
         use_threshold = default_use_threshold(inst)
-    if use_threshold < 0:
-        raise ValueError("use_threshold must be >= 0")
+    if not 0 <= use_threshold < math.inf:  # NaN fails too
+        raise ValueError("use_threshold must be finite and >= 0")
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
     totals = pf.arc_totals()
     excesses = _excess_matrix(inst, pf.flows)
-    heights = profiles.heights(excesses)
     used_res, unused_res, multipliers = _stability_residuals(
-        pf.flows, totals, heights, caps, tails, heads, use_threshold, profiles
+        pf.flows, totals, excesses, caps, tails, heads, use_threshold
     )
-    obj = profiles.congestion_penalty(totals - caps) + profiles.height_penalty(excesses)
+    congestions = np.maximum(totals - caps, 0.0)
     return StabilityReport(
-        heights=heights.T.copy(),
-        congestions=profiles.congestions(totals - caps).copy(),
+        heights=excesses.T.copy(),
+        congestions=congestions,
         used_arc_residual=used_res,
         unused_arc_residual=unused_res,
         implied_multipliers=multipliers,
-        objective=obj,
+        objective=_integral_objective(congestions, excesses),
     )
 
 
@@ -512,13 +394,9 @@ def parse_flow_dump(inst: Instance, text: str) -> np.ndarray:
 __all__ = [
     "FeasibilityCheck",
     "FlowDumpError",
-    "IDENTITY_PROFILES",
     "ObjectiveForm",
-    "ProfileError",
-    "Profiles",
     "PseudoFlow",
     "StabilityReport",
-    "UnsupportedProfilesError",
     "check_feasible",
     "congestion",
     "default_use_threshold",

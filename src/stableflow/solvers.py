@@ -17,9 +17,6 @@ residuals fall below the configured tolerance:
   no update raises the objective and every trace is monotone. The fixed
   points are those of omega = 1: x = max(0, x - omega*g/3) holds exactly
   when x = max(0, x - g/3).
-
-Identity profiles only; the slack-form rewrite does not exist for general
-profiles.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import numpy as np
 from . import _kernel
 from .model import Instance
 from .pseudoflow import (
-    IDENTITY_PROFILES,
     ObjectiveForm,
     PseudoFlow,
     StabilityReport,
@@ -176,9 +172,7 @@ def solve(
     def residuals() -> tuple[float, float]:
         if kernel is not None:
             return kernel.residuals()
-        return _stability_residuals(
-            flows, totals, excesses, caps, tails, heads, threshold, IDENTITY_PROFILES
-        )[:2]
+        return _stability_residuals(flows, totals, excesses, caps, tails, heads, threshold)[:2]
 
     # Each step runs at most n iterations and returns their trace rows; an
     # empty list means PGD found no descent step.
@@ -218,7 +212,7 @@ def solve(
 
     # Final exact slack refresh; leaves flows (hence residuals) untouched.
     pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
-    report = stability_report(inst, pf, IDENTITY_PROFILES)
+    report = stability_report(inst, pf)
     return SolveResult(pf, report, iterations, report.max_residual <= cfg.tol, trace, cfg)
 
 
@@ -330,7 +324,7 @@ def projected_gradient_residual(inst: Instance, pf: PseudoFlow) -> float:
     Infinity norm of x - project(x - grad) over the box (flows >= 0,
     slacks in [0, capacity]); zero exactly at minimizers.
     """
-    flow_grad, slack_grad = gradient(inst, pf, IDENTITY_PROFILES, ObjectiveForm.SLACK)
+    flow_grad, slack_grad = gradient(inst, pf, ObjectiveForm.SLACK)
     flow_disp = pf.flows - np.maximum(pf.flows - flow_grad, 0.0)
     slack_disp = pf.slacks - np.clip(pf.slacks - slack_grad, 0.0, inst.capacities)
     return max(

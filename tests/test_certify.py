@@ -184,11 +184,12 @@ class TestClassify:
         result.report = result.report._replace(**{slot: math.nan})
         assert classify(inst, result).kind is VerdictKind.UNDECIDED
 
-    def test_invalid_tolerances_rejected(self, one_arc):
+    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, math.nan])
+    def test_invalid_tolerances_rejected(self, one_arc, zero_tol):
         inst = one_arc(1.0, 1.0)
         result = solve_coordinate(inst)
         with pytest.raises(ValueError):
-            classify(inst, result, zero_tol=0.0)
+            classify(inst, result, zero_tol=zero_tol)
 
     def test_certificate_revalidates_from_scratch(self, one_arc):
         inst = one_arc(1.0, 2.0)

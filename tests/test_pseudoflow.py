@@ -5,13 +5,9 @@ import pytest
 
 from stableflow import (
     FlowDumpError,
-    IDENTITY_PROFILES,
     Instance,
     ObjectiveForm,
-    ProfileError,
-    Profiles,
     PseudoFlow,
-    UnsupportedProfilesError,
     check_feasible,
     congestion,
     desk_scale_batch,
@@ -20,6 +16,8 @@ from stableflow import (
     objective,
     optimal_slack,
     parse_flow_dump,
+    solve_coordinate,
+    solve_pgd,
     stability_report,
     write_flow_dump,
 )
@@ -39,7 +37,7 @@ def relative_error(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def fd_flow_gradient(inst, pf, profiles, form, step=1e-6):
+def fd_flow_gradient(inst, pf, form, step=1e-6):
     grad = np.zeros_like(pf.flows)
     for k in range(pf.flows.shape[0]):
         for a in range(pf.flows.shape[1]):
@@ -47,21 +45,21 @@ def fd_flow_gradient(inst, pf, profiles, form, step=1e-6):
             up[k, a] += step
             down = pf.flows.copy()
             down[k, a] -= step
-            z_up = objective(inst, PseudoFlow(up, pf.slacks), profiles, form)
-            z_down = objective(inst, PseudoFlow(down, pf.slacks), profiles, form)
+            z_up = objective(inst, PseudoFlow(up, pf.slacks), form)
+            z_down = objective(inst, PseudoFlow(down, pf.slacks), form)
             grad[k, a] = (z_up - z_down) / (2 * step)
     return grad
 
 
-def fd_slack_gradient(inst, pf, profiles, step=1e-6):
+def fd_slack_gradient(inst, pf, step=1e-6):
     grad = np.zeros_like(pf.slacks)
     for a in range(pf.slacks.shape[0]):
         up = pf.slacks.copy()
         up[a] += step
         down = pf.slacks.copy()
         down[a] -= step
-        z_up = objective(inst, PseudoFlow(pf.flows, up), profiles, ObjectiveForm.SLACK)
-        z_down = objective(inst, PseudoFlow(pf.flows, down), profiles, ObjectiveForm.SLACK)
+        z_up = objective(inst, PseudoFlow(pf.flows, up), ObjectiveForm.SLACK)
+        z_down = objective(inst, PseudoFlow(pf.flows, down), ObjectiveForm.SLACK)
         grad[a] = (z_up - z_down) / (2 * step)
     return grad
 
@@ -142,35 +140,8 @@ class TestCongestion:
     def test_boundary_is_uncongested(self):
         assert congestion(1.0, 1.0) == 0.0
 
-    def test_quadratic_profile(self):
-        assert congestion(3.0, 1.0, Profiles.quadratic_congestion()) == 4.0
-
-
-class TestProfiles:
-    def test_non_monotone_height_rejected(self):
-        with pytest.raises(ProfileError, match="strictly increasing"):
-            Profiles(height_profile=lambda x: -x, congestion_profile=lambda x: x)
-
-    def test_height_offset_rejected(self):
-        with pytest.raises(ProfileError, match="0 at 0"):
-            Profiles(height_profile=lambda x: x + 1, congestion_profile=lambda x: x)
-
-    def test_congestion_offset_rejected(self):
-        with pytest.raises(ProfileError, match="congestion profile must be 0"):
-            Profiles(height_profile=lambda x: x, congestion_profile=lambda x: x + 0.5)
-
-    def test_quadrature_matches_closed_form(self):
-        # No explicit antiderivatives: the quadrature fallback must agree
-        # with the identity closed form.
-        plain = Profiles(height_profile=lambda x: x, congestion_profile=lambda x: x)
-        xs = np.array([[-2.0, 0.5, 1.5]])
-        assert plain.height_penalty(xs) == pytest.approx(
-            IDENTITY_PROFILES.height_penalty(xs), rel=1e-13
-        )
-        overloads = np.array([0.5, -1.0, 2.0])
-        assert plain.congestion_penalty(overloads) == pytest.approx(
-            IDENTITY_PROFILES.congestion_penalty(overloads), rel=1e-13
-        )
+    def test_nan_total_stays_nan(self):
+        assert math.isnan(congestion(math.nan, 1.0))
 
 
 class TestPseudoFlow:
@@ -193,6 +164,22 @@ class TestPseudoFlow:
             PseudoFlow(np.zeros((1, 1)), np.array([1.5])).validate(inst)
         with pytest.raises(ValueError, match="shape"):
             PseudoFlow(np.zeros((2, 1)), np.zeros(1)).validate(inst)
+
+    @pytest.mark.parametrize("solver", [solve_coordinate, solve_pgd])
+    @pytest.mark.parametrize(
+        "flow,slack,message",
+        [
+            (math.nan, 0.0, "finite"),
+            (math.inf, 0.0, "finite"),
+            (0.0, math.nan, "NaN"),
+            (0.0, math.inf, "exceed"),
+        ],
+    )
+    def test_warm_start_rejects_non_finite_state(self, one_arc, solver, flow, slack, message):
+        # Construction lets these through; the warm-start gate must not.
+        start = PseudoFlow(np.array([[flow]]), np.array([slack]))
+        with pytest.raises(ValueError, match=message):
+            solver(one_arc(1.0, 1.0), warm_start=start)
 
 
 class TestObjective:
@@ -219,12 +206,6 @@ class TestObjective:
             expected, abs=1e-15
         )
         assert expected == pytest.approx(1 / 3, abs=1e-15)
-
-    def test_slack_form_rejects_general_profiles(self, one_arc):
-        inst = one_arc(1.0, 1.0)
-        pf = PseudoFlow.zeros(inst)
-        with pytest.raises(UnsupportedProfilesError):
-            objective(inst, pf, Profiles.quadratic_congestion(), ObjectiveForm.SLACK)
 
     def test_forms_agree_after_optimal_slack(self):
         rng = np.random.default_rng(11)
@@ -280,7 +261,7 @@ class TestGradient:
         for inst in desk_scale_batch(20, seed=8):
             pf = random_point(inst, rng)
             analytic = gradient(inst, pf, form=ObjectiveForm.INTEGRAL)
-            numeric = fd_flow_gradient(inst, pf, None, ObjectiveForm.INTEGRAL)
+            numeric = fd_flow_gradient(inst, pf, ObjectiveForm.INTEGRAL)
             assert relative_error(analytic, numeric).max() <= 1e-6
 
     def test_matches_finite_differences_slack(self):
@@ -288,24 +269,10 @@ class TestGradient:
         for inst in desk_scale_batch(10, seed=9):
             pf = random_point(inst, rng)
             flow_grad, slack_grad = gradient(inst, pf, form=ObjectiveForm.SLACK)
-            fd_flow = fd_flow_gradient(inst, pf, None, ObjectiveForm.SLACK)
-            fd_slack = fd_slack_gradient(inst, pf, None)
+            fd_flow = fd_flow_gradient(inst, pf, ObjectiveForm.SLACK)
+            fd_slack = fd_slack_gradient(inst, pf)
             assert relative_error(flow_grad, fd_flow).max() <= 1e-6
             assert relative_error(slack_grad, fd_slack).max() <= 1e-6
-
-    def test_matches_finite_differences_general_profiles(self):
-        profiles = Profiles(
-            height_profile=lambda x: x**3,
-            congestion_profile=lambda x: x * x,
-            height_integral=lambda x: x**4 / 4.0,
-            congestion_integral=lambda x: x**3 / 3.0,
-        )
-        rng = np.random.default_rng(29)
-        for inst in desk_scale_batch(5, seed=10):
-            pf = random_point(inst, rng)
-            analytic = gradient(inst, pf, profiles, ObjectiveForm.INTEGRAL)
-            numeric = fd_flow_gradient(inst, pf, profiles, ObjectiveForm.INTEGRAL)
-            assert relative_error(analytic, numeric).max() <= 1e-6
 
 
 class TestStabilityReport:
@@ -360,21 +327,12 @@ class TestStabilityReport:
         assert strict.used_arc_residual > 0.0
         assert lenient.used_arc_residual == 0.0
 
-    def test_quadratic_congestion_stable_point(self, one_arc):
-        # Under g(x) = x**2 the overloaded one-arc stationarity reads
-        # (f-1)**2 = (2-f) - (f-2), i.e. f = sqrt(3); check the whole
-        # generalized calculus agrees there.
-        inst = one_arc(1.0, 2.0)
-        profiles = Profiles.quadratic_congestion()
-        f = np.sqrt(3.0)
-        pf = PseudoFlow(np.array([[f]]), np.zeros(1))
-        report = stability_report(inst, pf, profiles)
-        assert report.used_arc_residual <= 1e-12
-        assert report.unused_arc_residual <= 1e-12
-        expected = (f - 1.0) ** 3 / 3.0 + (2.0 - f) ** 2
-        assert report.objective == pytest.approx(expected, rel=1e-12)
-        grad = gradient(inst, pf, profiles, ObjectiveForm.INTEGRAL)
-        assert abs(grad[0, 0]) <= 1e-12
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_invalid_use_threshold_rejected(self, one_arc, threshold):
+        # NaN would read every arc as unused: used residual 0.0, not 3.0.
+        pf = PseudoFlow(np.array([[0.5]]), np.zeros(1))
+        with pytest.raises(ValueError, match="use_threshold"):
+            stability_report(one_arc(1.0, 1.0), pf, use_threshold=threshold)
 
 
 class TestCheckFeasible:

@@ -26,7 +26,6 @@ from stableflow import (
 )
 from stableflow import _kernel, solvers
 from stableflow.pseudoflow import (
-    IDENTITY_PROFILES,
     _excess_matrix,
     _slack_objective,
     _stability_residuals,
@@ -116,9 +115,7 @@ class TestCoordinate:
         flows, slacks, totals, excesses = state
         assert flows[0, 0] == pytest.approx(2 / 3, abs=1e-15)
         assert _slack_objective(totals, slacks, caps, excesses) < before
-        residuals = _stability_residuals(
-            flows, totals, excesses, caps, tails, heads, 0.0, IDENTITY_PROFILES
-        )
+        residuals = _stability_residuals(flows, totals, excesses, caps, tails, heads, 0.0)
         assert max(residuals[:2]) > SolverConfig().tol
 
     def test_first_sweep_over_relaxed(self, one_arc):
@@ -416,7 +413,7 @@ class TestCompiledKernel:
                 0.5 * _loop_sum_of_squares(gaps) + 0.5 * _loop_sum_of_squares(excess_list)
             )
             expected = _stability_residuals(
-                flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5, IDENTITY_PROFILES
+                flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5
             )[:2]
             assert (used, unused) == expected
             assert kernel.residuals() == expected
