@@ -3,7 +3,10 @@
 ``classify`` applies the decision rule: a converged state with (near-)zero
 objective is a feasible flow; a converged state with a clearly positive
 objective is a certificate that no feasible flow exists; everything else,
-including the gray zone between the two thresholds, is UNDECIDED.
+including the gray zone between the two thresholds, is UNDECIDED. Each
+threshold is a constant times ``Instance.scale``, the largest power of two
+not above the largest demand, so scaling capacities and demands together
+leaves the verdict unchanged; reports and flows stay in the caller's units.
 
 ``oracle_feasibility`` answers the same question for desk-scale instances by
 a textbook route that shares no code with the pseudo-flow machinery: a
@@ -58,48 +61,27 @@ class Verdict:
     residual_summary: ResidualSummary
 
 
-def default_zero_tolerance(inst: Instance) -> float:
-    """Objective cutoff below which a minimum counts as zero.
-
-    Scales with the squared total demand because the objective is quadratic
-    in the flow magnitudes. A product, not ``** 2``: past ~1.3e154 the
-    square overflows to inf, where ``**`` raises ``OverflowError``.
-    """
-    scale = 1.0 + inst.total_demand
-    return 1e-9 * (scale * scale)
-
-
-def classify(
-    inst: Instance,
-    result: SolveResult,
-    zero_tol: float | None = None,
-) -> Verdict:
+def classify(inst: Instance, result: SolveResult) -> Verdict:
     """Classify a solve result as FEASIBLE, INFEASIBLE, or UNDECIDED.
 
-    With residuals within the solver's tolerance (``result.config.tol``):
-    objective <= ``zero_tol`` means FEASIBLE, objective > 10 * ``zero_tol``
-    means INFEASIBLE with the state as certificate. Anything else, including
-    unconverged results and the gray zone between the thresholds, is
-    UNDECIDED. A FEASIBLE flow is re-checked directly before being returned,
-    at 1e-6 times the largest capacity or demand, capped at 1e-6; a flow that
-    fails that check demotes the verdict to UNDECIDED.
+    Every threshold is a constant times ``s = inst.scale``. With both
+    residuals within the solver's ``result.config.tol * s``: objective <=
+    1e-9 * s² (the objective is quadratic in the data) means FEASIBLE,
+    objective > 10 times that means INFEASIBLE with the state as
+    certificate. Anything else, including unconverged results and the gray
+    zone between the thresholds, is UNDECIDED. A FEASIBLE flow is re-checked
+    directly at 1e-6 * s before being returned; a flow that fails that
+    check demotes the verdict to UNDECIDED.
     """
-    if zero_tol is None:
-        zero_tol = default_zero_tolerance(inst)
-    if not zero_tol > 0:  # NaN fails too; inf is the default's overflow
-        raise ValueError("zero_tol must be positive")
-
+    scale = inst.scale
+    zero_tol = 1e-9 * scale * scale  # not ``** 2``: that raises OverflowError past ~1e154
     report = result.report
     summary = ResidualSummary(
         report.objective, report.used_arc_residual, report.unused_arc_residual
     )
-    stable = report.max_residual <= result.config.tol
+    stable = report.max_residual <= result.config.tol * scale
     if stable and report.objective <= zero_tol:
-        # 1e-6 of the data's magnitude when that is below 1: an absolute
-        # 1e-6 passes a flow that misses demands of that size outright. The
-        # injection's largest entry is the largest demand.
-        scale = max(inst.capacities.max(initial=0.0), inst.injection.max(initial=0.0))
-        if check_feasible(inst, result.flow.flows, 1e-6 * min(1.0, scale)).ok:
+        if check_feasible(inst, result.flow.flows, 1e-6 * scale).ok:
             return Verdict(VerdictKind.FEASIBLE, result.flow, None, summary)
         return Verdict(VerdictKind.UNDECIDED, None, None, summary)
     if stable and report.objective > 10.0 * zero_tol:
@@ -244,11 +226,15 @@ def oracle_feasibility(inst: Instance) -> bool:
     rows = np.zeros((n_rows, n_cols))
     rhs = np.zeros(n_rows)
 
+    # A cycle-free feasible flow puts at most the total demand on an arc, so
+    # clipping capacities there keeps feasibility and keeps the right-hand
+    # side, hence the phase-one tolerance, at the scale of the demands.
+    total_demand = inst.total_demand
     for a, arc in enumerate(inst.arcs):
         for k in range(n_commodities):
             rows[a, k * n_arcs + a] = 1.0
         rows[a, n_flow + a] = 1.0
-        rhs[a] = arc.capacity
+        rhs[a] = min(arc.capacity, total_demand)
 
     for k, com in enumerate(inst.commodities):
         base = n_arcs + k * n_vertices
@@ -297,7 +283,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "classify",
-    "default_zero_tolerance",
     "desk_scale_batch",
     "oracle_feasibility",
     "render_verdict_report",

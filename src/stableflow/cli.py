@@ -64,7 +64,7 @@ def _read_input(path: str) -> str:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=["pgd", "coord"], default="coord")
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=1e-8, help="relative to the largest demand")
     parser.add_argument("--max-iters", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--init", choices=["zero", "random"], default="zero")

@@ -134,9 +134,22 @@ class Instance:
     def total_demand(self) -> float:
         return sum(c.demand for c in self.commodities)
 
-    # Read-only array views, built on first use and kept by the instance.
-    # cached_property stores them in the instance __dict__, outside the
-    # dataclass fields, so equality and hashing still see only the fields.
+    # The scale and read-only array views, built on first use and kept by the
+    # instance. cached_property stores them in the instance __dict__, outside
+    # the dataclass fields, so equality and hashing still see only the fields.
+
+    @cached_property
+    def scale(self) -> float:
+        """Largest power of two <= the largest demand; 1.0 when no demand is positive.
+
+        Every tolerance is a constant times this, and a power of two scales
+        exactly, so verdicts do not depend on units. Capacities do not count:
+        one above the total demand never binds.
+        """
+        largest = max((c.demand for c in self.commodities), default=0.0)
+        if largest <= 0:
+            return 1.0
+        return math.ldexp(0.5, math.frexp(largest)[1])
 
     @cached_property
     def tails(self) -> np.ndarray:

@@ -126,6 +126,10 @@ class StabilityReport(NamedTuple):
         return _max_residual(self.used_arc_residual, self.unused_arc_residual)
 
 
+# An arc flow counts as used above this fraction of ``Instance.scale``.
+_USE_FRACTION = 1e-9
+
+
 def _max_residual(used: float, unused: float) -> float:
     """The larger of two residuals, NaN when either is NaN.
 
@@ -159,12 +163,6 @@ def _excess_matrix(inst: Instance, flows: np.ndarray) -> np.ndarray:
     inflow = np.bincount(head_slots, flat, size)
     outflow = np.bincount(tail_slots, flat, size)
     return inst.injection + (inflow - outflow).reshape(inst.injection.shape)
-
-
-def default_use_threshold(inst: Instance) -> float:
-    """Scale-aware cutoff below which an arc flow counts as unused."""
-    max_demand = max((c.demand for c in inst.commodities), default=0.0)
-    return 1e-9 * (1.0 + max_demand)
 
 
 def excess(inst: Instance, pf: PseudoFlow, vertex: int, commodity: int) -> float:
@@ -262,25 +260,19 @@ def _stability_residuals(
     return used_res, unused_res, -drop_minus_psi
 
 
-def stability_report(
-    inst: Instance, pf: PseudoFlow, use_threshold: float | None = None
-) -> StabilityReport:
+def stability_report(inst: Instance, pf: PseudoFlow) -> StabilityReport:
     """Evaluate the stability conditions of a pseudo-flow.
 
-    An arc is used by a commodity when its flow exceeds ``use_threshold``
-    (default: scale-aware near-zero cutoff; it must be finite and >= 0).
-    Both residuals are zero exactly at a stable pseudo-flow; the implied
-    multipliers are then zero on used arcs and nonnegative everywhere.
+    An arc is used by a commodity when its flow exceeds 1e-9 times
+    ``inst.scale``. Both residuals are zero exactly at a stable
+    pseudo-flow; the implied multipliers are then zero on used arcs and
+    nonnegative everywhere.
     """
-    if use_threshold is None:
-        use_threshold = default_use_threshold(inst)
-    if not 0 <= use_threshold < math.inf:  # NaN fails too
-        raise ValueError("use_threshold must be finite and >= 0")
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
     totals = pf.arc_totals()
     excesses = _excess_matrix(inst, pf.flows)
     used_res, unused_res, multipliers = _stability_residuals(
-        pf.flows, totals, excesses, caps, tails, heads, use_threshold
+        pf.flows, totals, excesses, caps, tails, heads, _USE_FRACTION * inst.scale
     )
     congestions = np.maximum(totals - caps, 0.0)
     return StabilityReport(
@@ -399,7 +391,6 @@ __all__ = [
     "StabilityReport",
     "check_feasible",
     "congestion",
-    "default_use_threshold",
     "excess",
     "gradient",
     "objective",

@@ -34,11 +34,11 @@ from .pseudoflow import (
     ObjectiveForm,
     PseudoFlow,
     StabilityReport,
+    _USE_FRACTION,
     _excess_matrix,
     _max_residual,
     _slack_objective,
     _stability_residuals,
-    default_use_threshold,
     gradient,
     stability_report,
 )
@@ -66,7 +66,9 @@ class Init(Enum):
 class SolverConfig:
     """Solver selection and stopping control.
 
-    ``tol`` bounds both stability residuals at convergence.
+    ``tol`` bounds both stability residuals at convergence, relative to the
+    largest demand: a solve converges when both are within
+    ``tol * inst.scale`` (see :attr:`Instance.scale`).
     """
 
     method: Method = Method.COORDINATE
@@ -146,9 +148,10 @@ def solve(
     One loop serves both methods, each supplying only its in-place step,
     which returns a list of trace rows (objective, used residual, unused
     residual), one per iteration it ran. It stops when both stability
-    residuals are within ``cfg.tol``, at once when either is NaN, after
-    ``cfg.max_iters`` iterations, or when PGD finds no descent step;
-    ``converged`` is read off the final report, so the two always agree.
+    residuals are within ``cfg.tol * inst.scale``, at once when either is
+    NaN, after ``cfg.max_iters`` iterations, or when PGD finds no descent
+    step; ``converged`` is read off the final report, so the two always
+    agree. Flows, report and trace are in the instance's own units.
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, one
     call runs a segment of up to ``_kernel.SEGMENT`` coordinate sweeps, each
@@ -161,7 +164,8 @@ def solve(
     cfg = cfg or SolverConfig()
 
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
-    threshold = default_use_threshold(inst)
+    tol = cfg.tol * inst.scale
+    threshold = _USE_FRACTION * inst.scale
     flows, slacks = _initial_state(inst, cfg, warm_start)
     totals = flows.sum(axis=0)
     excesses = _excess_matrix(inst, flows)
@@ -182,7 +186,7 @@ def solve(
             return [] if new_value is None else [(new_value, *residuals())]
     elif kernel is not None:
         def step(value: float, n: int) -> list[Sequence[float]]:
-            return kernel.run(cfg.tol, n)
+            return kernel.run(tol, n)
     else:
         def step(value: float, n: int) -> list[Sequence[float]]:
             _python_sweep(*state)
@@ -192,7 +196,7 @@ def solve(
     used_res, unused_res = residuals()
     trace = [TraceRow(0, value, used_res, unused_res)]
     iterations = 0
-    while _max_residual(used_res, unused_res) > cfg.tol and iterations < cfg.max_iters:
+    while _max_residual(used_res, unused_res) > tol and iterations < cfg.max_iters:
         rows = step(value, min(_kernel.SEGMENT, cfg.max_iters - iterations))
         if not rows:
             break
@@ -202,7 +206,7 @@ def solve(
             iterations += 1
             trace.append(TraceRow(iterations, *row))
         iterations += 1
-        if _max_residual(used_res, unused_res) <= cfg.tol:
+        if _max_residual(used_res, unused_res) <= tol:
             # Totals and excesses are updated incrementally and drift from
             # the flows; re-derive them so the stop agrees with the report.
             np.sum(flows, axis=0, out=totals)
@@ -213,7 +217,7 @@ def solve(
     # Final exact slack refresh; leaves flows (hence residuals) untouched.
     pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
     report = stability_report(inst, pf)
-    return SolveResult(pf, report, iterations, report.max_residual <= cfg.tol, trace, cfg)
+    return SolveResult(pf, report, iterations, report.max_residual <= tol, trace, cfg)
 
 
 def solve_pgd(

@@ -23,7 +23,6 @@ from stableflow import (
     VerdictKind,
     check_feasible,
     classify,
-    default_use_threshold,
     desk_scale_batch,
     gradient,
     objective,
@@ -204,11 +203,11 @@ def test_criterion_5_stability_at_convergence(pipeline, pgd_results):
         if not result.converged:
             ok = False
             continue
-        tol = result.config.tol
+        tol = result.config.tol * inst.scale
         ok = ok and result.report.used_arc_residual <= tol
         ok = ok and result.report.unused_arc_residual <= tol
         base = objective(inst, result.flow, form=ObjectiveForm.INTEGRAL)
-        threshold = default_use_threshold(inst)
+        threshold = 1e-9 * inst.scale
         used = np.argwhere(result.flow.flows > threshold)
         for k, a in used:
             bumped = result.flow.flows.copy()

@@ -15,7 +15,6 @@ from stableflow import (
     VerdictKind,
     check_feasible,
     classify,
-    default_zero_tolerance,
     desk_scale_batch,
     generate_random_instance,
     oracle_feasibility,
@@ -75,6 +74,12 @@ class TestOracle:
         inst = Instance(3, [(0, 1, 0.0)], [(0, 2, 0.0)])
         assert oracle_feasibility(inst) is True
 
+    def test_huge_capacity_does_not_loosen_tolerance(self):
+        # Demand 1 cannot pass the 0.5 cut; the 1e9 arc leads into the
+        # source and never binds, but it once set the phase-one tolerance.
+        inst = Instance(4, [(0, 1, 0.5), (1, 2, 0.5), (3, 0, 1e9)], [(0, 2, 1.0)])
+        assert oracle_feasibility(inst) is False
+
     def test_multi_hop_with_bottleneck(self):
         inst = Instance(
             4,
@@ -130,22 +135,23 @@ class TestClassify:
     def test_gray_zone_is_undecided(self, one_arc):
         inst = one_arc(1.0, 2.0)
         result = solve_coordinate(inst)
-        z = result.report.objective
-        # Thresholds straddling the optimum: z is above zero_tol but not
-        # above 10 * zero_tol, so neither branch may fire.
-        verdict = classify(inst, result, zero_tol=z / 2)
-        assert verdict.kind is VerdictKind.UNDECIDED
+        assert classify(inst, result).kind is VerdictKind.INFEASIBLE
+        # An objective above the zero cutoff 1e-9 * scale² but not above
+        # ten times it: neither branch may fire.
+        zero_tol = 1e-9 * inst.scale * inst.scale
+        result.report = result.report._replace(objective=5 * zero_tol)
+        assert classify(inst, result).kind is VerdictKind.UNDECIDED
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tiny_magnitudes_not_passed_as_feasible(self, seed):
-        # Shrunk by 1e-6, the objective falls under the zero tolerance; the
-        # re-check must then scale with the data, not stay at 1e-6.
+        # Shrunk by 1e-6, the verdict is the unscaled one: every tolerance is
+        # relative to the data, none is absolute.
         base = generate_random_instance(8, 12, 3, (1, 5), (1, 5), seed=seed, integer_values=True)
         assert oracle_feasibility(base) is False
         tiny = scaled(base, 1e-6)
         result = solve_coordinate(tiny)
-        assert result.report.objective <= default_zero_tolerance(tiny)
-        assert classify(tiny, result).kind is VerdictKind.UNDECIDED
+        assert result.converged
+        assert classify(tiny, result).kind is VerdictKind.INFEASIBLE
 
     def test_huge_magnitudes_converged_agrees_with_report(self):
         # Grown by 1e6, the solver's incrementally kept totals and excesses
@@ -156,24 +162,33 @@ class TestClassify:
         huge = scaled(base, 1e6)
         result = solve_coordinate(huge)
         assert result.converged
-        assert result.report.max_residual <= result.config.tol
+        assert result.report.max_residual <= result.config.tol * huge.scale
         assert classify(huge, result).kind is VerdictKind.INFEASIBLE
 
-    def test_zero_tolerance_scales_with_demand(self):
-        small = Instance(2, [(0, 1, 1.0)], [(0, 1, 1.0)])
-        large = Instance(2, [(0, 1, 1.0)], [(0, 1, 100.0)])
-        assert default_zero_tolerance(large) > default_zero_tolerance(small)
-
     def test_zero_tolerance_overflows_to_inf(self):
-        # (1 + total demand) ** 2 raised OverflowError past ~1.3e154, so
-        # classify crashed on this valid, finite instance.
+        # The zero cutoff 1e-9 * scale² overflows to inf here, and so does
+        # the objective. Both methods converge, and the flow, ~1e200 over
+        # capacity, fails the FEASIBLE re-check.
         inst = Instance(
             3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, 1e200), (0, 2, 1e200)]
         )
-        assert default_zero_tolerance(inst) == math.inf
         with np.errstate(over="ignore"):
-            result = solve_coordinate(inst, SolverConfig(max_iters=50))
-            assert classify(inst, result).kind is VerdictKind.UNDECIDED
+            for method in (Method.COORDINATE, Method.PGD):
+                result = solve(inst, SolverConfig(method=method))
+                assert result.converged
+                assert result.report.objective == math.inf
+                assert classify(inst, result).kind is VerdictKind.UNDECIDED
+
+    @pytest.mark.parametrize("method", [Method.COORDINATE, Method.PGD])
+    def test_huge_capacity_does_not_loosen_tolerances(self, method):
+        # Scaled by its 1e9 capacity, the stop tolerance would be 5.4: the
+        # solve stopped at sweep 0 and this infeasible instance was called
+        # FEASIBLE. The scale comes from the demands alone.
+        inst = Instance(4, [(0, 1, 0.5), (1, 2, 0.5), (3, 0, 1e9)], [(0, 2, 1.0)])
+        assert inst.scale == 1.0
+        result = solve(inst, SolverConfig(method=method))
+        assert result.converged
+        assert classify(inst, result).kind is VerdictKind.INFEASIBLE
 
     @pytest.mark.parametrize("slot", ["used_arc_residual", "unused_arc_residual"])
     def test_nan_residual_is_undecided(self, one_arc, slot):
@@ -184,21 +199,14 @@ class TestClassify:
         result.report = result.report._replace(**{slot: math.nan})
         assert classify(inst, result).kind is VerdictKind.UNDECIDED
 
-    @pytest.mark.parametrize("zero_tol", [0.0, -1.0, math.nan])
-    def test_invalid_tolerances_rejected(self, one_arc, zero_tol):
-        inst = one_arc(1.0, 1.0)
-        result = solve_coordinate(inst)
-        with pytest.raises(ValueError):
-            classify(inst, result, zero_tol=zero_tol)
-
     def test_certificate_revalidates_from_scratch(self, one_arc):
         inst = one_arc(1.0, 2.0)
         result = solve_coordinate(inst)
         verdict = classify(inst, result)
         assert verdict.kind is VerdictKind.INFEASIBLE
         fresh = stability_report(inst, result.flow)
-        assert fresh.max_residual <= result.config.tol
-        assert fresh.objective > default_zero_tolerance(inst)
+        assert fresh.max_residual <= result.config.tol * inst.scale
+        assert fresh.objective > 10 * 1e-9 * inst.scale * inst.scale
 
     def test_feasible_demoted_when_flow_fails_recheck(self, one_arc):
         # A result whose report claims near-zero objective but whose flow
@@ -267,7 +275,8 @@ def test_permuting_arcs_and_commodities_keeps_verdict(seed, data):
     for solver in (solve_coordinate, solve_pgd):
         base, moved = solver(inst), solver(permuted)
         for result in (base, moved):
-            assert result.converged == (result.report.max_residual <= result.config.tol)
+            tol = result.config.tol * inst.scale
+            assert result.converged == (result.report.max_residual <= tol)
         verdict = classify(permuted, moved)
         assert verdict.kind is classify(inst, base).kind
         if verdict.flow is not None:
@@ -278,6 +287,32 @@ def test_permuting_arcs_and_commodities_keeps_verdict(seed, data):
     np.testing.assert_allclose(
         moved.flow.flows, base.flow.flows[np.ix_(com_order, arc_order)], rtol=0, atol=1e-6
     )
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    decimal=st.integers(-6, 6),
+    binary=st.integers(-20, 20),
+)
+@settings(max_examples=25, deadline=None)
+def test_scaling_capacities_and_demands_keeps_verdict(seed, decimal, binary):
+    # Every tolerance is relative to Instance.scale, a power of two, so a
+    # power-of-two factor changes no rounding: the same sweeps, the same
+    # flows bit for bit. Any other factor keeps at least the verdict.
+    inst = desk_scale_batch(1, seed)[0]
+    factor = 2.0**binary
+    for method in (Method.COORDINATE, Method.PGD):
+        cfg = SolverConfig(method=method)
+        base = solve(inst, cfg)
+        kind = classify(inst, base).kind
+        assert kind is not VerdictKind.UNDECIDED
+        by_ten = scaled(inst, 10.0**decimal)
+        assert classify(by_ten, solve(by_ten, cfg)).kind is kind
+        by_two = scaled(inst, factor)
+        moved = solve(by_two, cfg)
+        assert moved.iterations == base.iterations
+        assert np.array_equal(moved.flow.flows / factor, base.flow.flows)
+        assert classify(by_two, moved).kind is kind
 
 
 # Distinct instances per method: a cache keyed by value would otherwise pin

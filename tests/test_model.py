@@ -109,6 +109,26 @@ class TestInstanceValidation:
             Instance(0, [], [])
 
 
+class TestScale:
+    @pytest.mark.parametrize(
+        "demands,scale",
+        [
+            ([], 1.0),
+            ([0.0], 1.0),
+            ([1.0], 1.0),
+            ([3.0, 1.0], 2.0),
+            ([4.0], 4.0),
+            ([1e-6], 2.0**-20),
+        ],
+    )
+    def test_largest_power_of_two_not_above_largest_demand(self, demands, scale):
+        inst = Instance(2, [(0, 1, 1.0)], [(0, 1, d) for d in demands])
+        assert inst.scale == scale
+
+    def test_capacities_do_not_count(self):
+        assert Instance(2, [(0, 1, 1e9)], [(0, 1, 1.0)]).scale == 1.0
+
+
 class TestSerialize:
     def test_round_trip_smallest(self):
         inst = parse_instance(SMALLEST)

@@ -320,19 +320,13 @@ class TestStabilityReport:
         assert report.implied_multipliers.tolist() == [[-2.0]]
 
     def test_use_threshold_boundary(self, one_arc):
-        inst = one_arc(1.0, 1.0)
-        pf = PseudoFlow(np.array([[0.5]]), np.zeros(1))
-        strict = stability_report(inst, pf, use_threshold=0.4)
-        lenient = stability_report(inst, pf, use_threshold=0.6)
-        assert strict.used_arc_residual > 0.0
-        assert lenient.used_arc_residual == 0.0
-
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
-    def test_invalid_use_threshold_rejected(self, one_arc, threshold):
-        # NaN would read every arc as unused: used residual 0.0, not 3.0.
-        pf = PseudoFlow(np.array([[0.5]]), np.zeros(1))
-        with pytest.raises(ValueError, match="use_threshold"):
-            stability_report(one_arc(1.0, 1.0), pf, use_threshold=threshold)
+        # A flow counts as used above 1e-9 * inst.scale, not at it.
+        inst = one_arc(1.0, 3.0)
+        threshold = 1e-9 * inst.scale
+        at = PseudoFlow(np.array([[threshold]]), np.zeros(1))
+        above = PseudoFlow(np.array([[np.nextafter(threshold, 1.0)]]), np.zeros(1))
+        assert stability_report(inst, at).used_arc_residual == 0.0
+        assert stability_report(inst, above).used_arc_residual > 0.0
 
 
 class TestCheckFeasible:
