@@ -1,4 +1,4 @@
-"""Compiled Gauss-Seidel sweeps and residual check, built on first use.
+"""The compiled solver iterations and residual check, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -29,7 +29,7 @@ CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # fuse the arithmetic, which breaks bitwise agreement with the Python loop.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
-# Most sweeps one Sweep.run call may run: the rows of its trace buffer.
+# Most iterations one Kernel.run call may run: the rows of its trace buffer.
 SEGMENT = 64
 
 
@@ -44,11 +44,15 @@ class _State(ctypes.Structure):
         ("caps", ctypes.c_void_p),
         ("tails", ctypes.c_void_p),
         ("heads", ctypes.c_void_p),
+        ("injection", ctypes.c_void_p),
+        ("work", ctypes.c_void_p),
         ("n_vertices", ctypes.c_int64),
         ("n_arcs", ctypes.c_int64),
         ("n_commodities", ctypes.c_int64),
+        ("pgd", ctypes.c_int64),
         ("use_threshold", ctypes.c_double),
         ("omega", ctypes.c_double),
+        ("value", ctypes.c_double),
     ]
 
 
@@ -127,14 +131,16 @@ def _require(
         )
 
 
-class Sweep:
-    """The compiled sweeps and residual check bound to one solve's arrays.
+class Kernel:
+    """The compiled iterations and residual check bound to one solve's arrays.
 
     Every array is checked once here and its pointer stored, so a call
     converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
     updated in place by :meth:`run` and must outlive this object, which
-    keeps references to them. ``omega`` is the over-relaxation factor of
-    each flow step.
+    keeps references to them. Each iteration is an over-relaxed sweep with
+    factor ``omega``, or, given ``injection`` (the (commodity, vertex)
+    demand injection), a PGD step from ``value``, the slack-form objective
+    of the arrays as bound.
     """
 
     def __init__(
@@ -149,6 +155,8 @@ class Sweep:
         heads: np.ndarray,
         use_threshold: float,
         omega: float,
+        injection: np.ndarray | None = None,
+        value: float = 0.0,
     ) -> None:
         if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
             raise ValueError("flows must be a 2-d (commodity, arc) array")
@@ -167,14 +175,22 @@ class Sweep:
             min(tails.min(), heads.min()) >= 0 and max(tails.max(), heads.max()) < n_vertices
         ):
             raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
-        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads)
+        work = None
+        if injection is not None:
+            _require(injection, np.float64, (n_commodities, n_vertices), "injection", False)
+            # Gradients and trial flows; gap, trial slacks, totals and gap;
+            # trial excesses; inflow and outflow of one commodity.
+            work = np.empty(2 * flows.size + 4 * n_arcs + excesses.size + 2 * n_vertices)
+        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, injection, work)
         self._state = _State(
-            *(array.ctypes.data for array in self._arrays),
+            *(None if array is None else array.ctypes.data for array in self._arrays),
             n_vertices,
             n_arcs,
             n_commodities,
+            injection is not None,
             use_threshold,
             omega,
+            value,
         )
         self._ref = ctypes.byref(self._state)
         self._rows = np.empty((SEGMENT, 3))
@@ -183,12 +199,12 @@ class Sweep:
         self._lib = lib
 
     def run(self, tol: float, n: int) -> list[list[float]]:
-        """Up to ``n`` sweeps over every arc, in place; 1 <= n <= SEGMENT.
+        """Up to ``n`` iterations, in place; 1 <= n <= SEGMENT.
 
         Returns one (slack-form objective, used residual, unused residual)
-        row per sweep run, each of the state that sweep leaves. The run
-        stops after the first row whose larger residual is <= ``tol`` or
-        NaN.
+        row per iteration run, each of the state that iteration leaves. The
+        run stops after the first row whose larger residual is <= ``tol`` or
+        NaN, and before a PGD step that finds no descent.
         """
         if not 1 <= n <= len(self._rows):
             raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")

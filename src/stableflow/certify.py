@@ -189,9 +189,10 @@ def _phase_one_feasible(rows: np.ndarray, rhs: np.ndarray, n_slack: int) -> bool
         cost -= cost[entering] * tableau[leaving, :]
         basis[leaving] = entering
 
+    # Relative to the right-hand side alone, so the answer does not depend
+    # on units; an all-zero right-hand side leaves no artificial sum.
     artificial_sum = -cost[-1]
-    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-    return bool(artificial_sum <= 1e-7 * scale)
+    return bool(artificial_sum <= 1e-7 * float(np.abs(rhs).max(initial=0.0)))
 
 
 def oracle_feasibility(inst: Instance) -> bool:

@@ -17,6 +17,11 @@ residuals fall below the configured tolerance:
   no update raises the objective and every trace is monotone. The fixed
   points are those of omega = 1: x = max(0, x - omega*g/3) holds exactly
   when x = max(0, x - g/3).
+
+Both methods run their iterations in the compiled kernel (``_sweep.c``,
+loaded by ``_kernel``) when it can be built. :func:`_python_sweep` and
+:func:`_pgd_step` are the bitwise reference for it and the fallback without
+it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .pseudoflow import (
     _USE_FRACTION,
     _excess_matrix,
     _max_residual,
+    _sequential_sum,
     _slack_objective,
     _stability_residuals,
     gradient,
@@ -154,12 +160,12 @@ def solve(
     agree. Flows, report and trace are in the instance's own units.
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, one
-    call runs a segment of up to ``_kernel.SEGMENT`` coordinate sweeps, each
-    with its objective and residual check, and returns early on a row that
-    stops the loop (PGD uses the kernel for the residual check only).
-    Otherwise one sweep at a time runs in :func:`_python_sweep` and the rest
-    in numpy. Both give bitwise the same result; both sum the objective
-    sequentially, left to right.
+    call runs a segment of up to ``_kernel.SEGMENT`` iterations of either
+    method, each with its objective and residual check, and returns early
+    on a row that stops the loop or when PGD finds no descent step.
+    Otherwise one iteration at a time runs in :func:`_python_sweep` or
+    :func:`_pgd_step`, and the residual check in numpy. Both give bitwise
+    the same result; both sum sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
 
@@ -170,38 +176,44 @@ def solve(
     totals = flows.sum(axis=0)
     excesses = _excess_matrix(inst, flows)
     state = (flows, slacks, totals, excesses, caps, tails, heads)
+    value = _slack_objective(totals, slacks, caps, excesses)
+    # Each step runs at most n iterations and returns their trace rows. It
+    # returns fewer only after a row that stops the loop, or when PGD finds
+    # no descent step.
     lib = _kernel.load()
-    kernel = None if lib is None else _kernel.Sweep(lib, *state, threshold, _OMEGA)
+    if lib is not None:
+        injection = inst.injection if cfg.method is Method.PGD else None
+        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, injection, value)
+        residuals = kernel.residuals
+        segment = _kernel.SEGMENT
 
-    def residuals() -> tuple[float, float]:
-        if kernel is not None:
-            return kernel.residuals()
-        return _stability_residuals(flows, totals, excesses, caps, tails, heads, threshold)[:2]
-
-    # Each step runs at most n iterations and returns their trace rows; an
-    # empty list means PGD found no descent step.
-    if cfg.method is Method.PGD:
-        def step(value: float, n: int) -> list[Sequence[float]]:
-            new_value = _pgd_step(inst, flows, slacks, totals, excesses, value)
-            return [] if new_value is None else [(new_value, *residuals())]
-    elif kernel is not None:
         def step(value: float, n: int) -> list[Sequence[float]]:
             return kernel.run(tol, n)
     else:
-        def step(value: float, n: int) -> list[Sequence[float]]:
-            _python_sweep(*state)
-            return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
+        def residuals() -> tuple[float, float]:
+            return _stability_residuals(flows, totals, excesses, caps, tails, heads, threshold)[:2]
 
-    value = _slack_objective(totals, slacks, caps, excesses)
+        segment = 1  # the Python steps run one iteration
+        if cfg.method is Method.PGD:
+            def step(value: float, n: int) -> list[Sequence[float]]:
+                new_value = _pgd_step(inst, flows, slacks, totals, excesses, value)
+                return [] if new_value is None else [(new_value, *residuals())]
+        else:
+            def step(value: float, n: int) -> list[Sequence[float]]:
+                _python_sweep(*state)
+                return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
+
     used_res, unused_res = residuals()
     trace = [TraceRow(0, value, used_res, unused_res)]
     iterations = 0
     while _max_residual(used_res, unused_res) > tol and iterations < cfg.max_iters:
-        rows = step(value, min(_kernel.SEGMENT, cfg.max_iters - iterations))
+        n = min(segment, cfg.max_iters - iterations)
+        rows = step(value, n)
         if not rows:
             break
         # Only the last row can stop the loop; the kernel returns on it.
         *passed, (value, used_res, unused_res) = rows
+        stalled = len(rows) < n and _max_residual(used_res, unused_res) > tol
         for row in passed:
             iterations += 1
             trace.append(TraceRow(iterations, *row))
@@ -213,6 +225,8 @@ def solve(
             excesses[...] = _excess_matrix(inst, flows)
             used_res, unused_res = residuals()
         trace.append(TraceRow(iterations, value, used_res, unused_res))
+        if stalled:
+            break
 
     # Final exact slack refresh; leaves flows (hence residuals) untouched.
     pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
@@ -248,8 +262,11 @@ def _pgd_step(
 ) -> float | None:
     """One projected gradient step with Armijo backtracking from step 1, in place.
 
-    Returns the new objective value, or None when no step decreases the
-    objective strictly: the point is then stationary to working precision.
+    The reference for the PGD step of ``_sweep.c``. The Armijo terms
+    ``inner`` and ``change`` are summed with :func:`_sequential_sum`, left
+    to right, as the kernel sums them. Returns the new objective value, or
+    None when no step decreases the objective strictly: the point is then
+    stationary to working precision.
     """
     tails, heads, caps = inst.tails, inst.heads, inst.capacities
     gap = totals + slacks - caps
@@ -260,7 +277,7 @@ def _pgd_step(
         new_slacks = np.clip(slacks - step * gap, 0.0, caps)
         flow_move = new_flows - flows
         slack_move = new_slacks - slacks
-        inner = float(np.sum(flow_grad * flow_move)) + float(np.sum(gap * slack_move))
+        inner = _sequential_sum(flow_grad * flow_move) + _sequential_sum(gap * slack_move)
         new_totals = new_flows.sum(axis=0)
         new_excesses = _excess_matrix(inst, new_flows)
         # The objective is quadratic, so the exact change along the move is
@@ -270,8 +287,8 @@ def _pgd_step(
         new_gap = new_totals + new_slacks - caps
         new_flow_grad = new_gap[None, :] + new_excesses[:, heads] - new_excesses[:, tails]
         change = 0.5 * (
-            float(np.sum((flow_grad + new_flow_grad) * flow_move))
-            + float(np.sum((gap + new_gap) * slack_move))
+            _sequential_sum((flow_grad + new_flow_grad) * flow_move)
+            + _sequential_sum((gap + new_gap) * slack_move)
         )
         if change <= ARMIJO_SIGMA * inner and change < 0.0:
             flows[...] = new_flows

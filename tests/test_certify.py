@@ -80,6 +80,12 @@ class TestOracle:
         inst = Instance(4, [(0, 1, 0.5), (1, 2, 0.5), (3, 0, 1e9)], [(0, 2, 1.0)])
         assert oracle_feasibility(inst) is False
 
+    def test_tiny_units_keep_answer(self):
+        # An absolute floor in the phase-one tolerance once let artificial
+        # sums near 1e-8 pass, and 88 of these 200 answers changed.
+        for inst in desk_scale_batch(200, 3):
+            assert oracle_feasibility(scaled(inst, 1e-8)) is oracle_feasibility(inst)
+
     def test_multi_hop_with_bottleneck(self):
         inst = Instance(
             4,

@@ -1,8 +1,10 @@
 import math
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,9 +310,16 @@ def _tight_instance(seed):
 
 
 def _python_only_solve(inst, cfg, warm_start=None):
+    """The solve of ``inst`` by ``cfg.method`` with the kernel unavailable."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "load", lambda: None)
-        return solve_coordinate(inst, cfg, warm_start=warm_start)
+        return solve(inst, cfg, warm_start=warm_start)
+
+
+def _with_pgd(cases):
+    """The (name, instance, config) cases, then each again with PGD as "pgd-<name>"."""
+    pgd = [(f"pgd-{name}", inst, replace(cfg, method=Method.PGD)) for name, inst, cfg in cases]
+    return cases + pgd
 
 
 def assert_bitwise_same(compiled, reference):
@@ -334,7 +343,7 @@ def _identity_cases():
         ("zero-demand", Instance(3, [(0, 1, 1.0)], [(0, 2, 0.0), (1, 2, 0.0)]), COORD),
         ("zero-capacity", Instance(3, [(0, 1, 0.0), (1, 2, 2.0)], [(0, 2, 2.0)]), COORD),
     ]
-    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in cases]
+    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in _with_pgd(cases)]
 
 
 # Residuals are >= 0, so no row meets this tolerance and no run stops early.
@@ -351,16 +360,17 @@ def _loop_sum_of_squares(values):
 class TestCompiledKernel:
     @pytest.mark.parametrize("inst,cfg", _identity_cases())
     def test_matches_python_loop(self, inst, cfg):
-        assert_bitwise_same(solve_coordinate(inst, cfg), _python_only_solve(inst, cfg))
+        assert_bitwise_same(solve(inst, cfg), _python_only_solve(inst, cfg))
 
     def test_warm_start_matches_python_loop(self):
         for inst in desk_scale_batch(10, seed=17) + [_tight_instance(7)]:
             start = _python_only_solve(inst, SolverConfig(max_iters=3)).flow
-            cfg = SolverConfig(max_iters=60)
-            assert_bitwise_same(
-                solve_coordinate(inst, cfg, warm_start=start),
-                _python_only_solve(inst, cfg, warm_start=start),
-            )
+            for method in Method:
+                cfg = SolverConfig(method=method, max_iters=60)
+                assert_bitwise_same(
+                    solve(inst, cfg, warm_start=start),
+                    _python_only_solve(inst, cfg, warm_start=start),
+                )
 
     # (vertices, arcs, commodities). The objective sums A gap terms and K*V
     # excess terms left to right. The shapes run each count from none
@@ -398,7 +408,7 @@ class TestCompiledKernel:
         ]
         reference = [array.copy() for array in state]
         start = [array.copy() for array in state]
-        kernel = _kernel.Sweep(lib, *state, caps, tails, heads, 0.5, solvers._OMEGA)
+        kernel = _kernel.Kernel(lib, *state, caps, tails, heads, 0.5, solvers._OMEGA)
         rows = []
         for _ in range(3):
             ((objective, used, unused),) = kernel.run(NEVER_STABLE, 1)
@@ -418,9 +428,62 @@ class TestCompiledKernel:
             assert (used, unused) == expected
             assert kernel.residuals() == expected
         # One call of three sweeps gives the same rows and state.
-        segment = _kernel.Sweep(lib, *start, caps, tails, heads, 0.5, solvers._OMEGA)
+        segment = _kernel.Kernel(lib, *start, caps, tails, heads, 0.5, solvers._OMEGA)
         assert segment.run(NEVER_STABLE, 3) == rows
         assert all(a.tobytes() == b.tobytes() for a, b in zip(start, reference))
+
+    @pytest.mark.parametrize("shape", [(5, 12, 3), (4, 0, 2), (4, 6, 0), (2, 1, 1), (67, 301, 3)])
+    def test_pgd_step_matches_reference(self, shape):
+        n_vertices, n_arcs, n_commodities = shape
+        rng = np.random.default_rng(sum(shape))
+        tails = rng.integers(0, n_vertices, n_arcs)
+        heads = (tails + rng.integers(1, n_vertices, n_arcs)) % n_vertices
+        sources = rng.integers(0, n_vertices, n_commodities)
+        sinks = (sources + rng.integers(1, n_vertices, n_commodities)) % n_vertices
+        inst = Instance(
+            n_vertices,
+            list(zip(tails.tolist(), heads.tolist(), rng.uniform(0.0, 3.0, n_arcs).tolist())),
+            list(zip(sources.tolist(), sinks.tolist(), rng.uniform(0.0, 4.0, n_commodities))),
+        )
+        flows = rng.uniform(0.0, 2.0, (n_commodities, n_arcs))
+        flows[rng.random(flows.shape) < 0.3] = 0.0
+        _assert_pgd_steps_match(inst, flows, rng.uniform(0.0, 1.0, n_arcs) * inst.capacities)
+
+    def test_pgd_step_turns_negative_zeros_positive(self):
+        # A warm start may hold -0.0. Where the gradient is 0 the trial is
+        # -0.0 - 0.0 = -0.0, and numpy's maximum and clip make it +0.0: here
+        # the flows of the zero-demand commodity and the slack of arc 1.
+        inst = Instance(3, [(0, 1, 2.0), (1, 2, 1.0)], [(0, 2, 2.0), (0, 2, 0.0)])
+        flows = np.array([[0.0, 1.0], [-0.0, -0.0]])
+        _assert_pgd_steps_match(inst, flows, np.array([2.0, -0.0]), steps=1)
+
+
+def _assert_pgd_steps_match(inst, flows, slacks, steps=3):
+    """Single compiled PGD steps from (flows, slacks) match ``_pgd_step`` bitwise.
+
+    A step that finds no descent returns no row and ends the comparison.
+    """
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("no compiled kernel on this platform")
+    caps, tails, heads = inst.capacities, inst.tails, inst.heads
+    state = [flows, slacks, flows.sum(axis=0), _excess_matrix(inst, flows)]
+    reference = [array.copy() for array in state]
+    value = _slack_objective(state[2], slacks, caps, state[3])
+    kernel = _kernel.Kernel(
+        lib, *state, caps, tails, heads, 0.5, solvers._OMEGA, inst.injection, value
+    )
+    for _ in range(steps):
+        rows = kernel.run(NEVER_STABLE, 1)
+        value = solvers._pgd_step(inst, *reference, value)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state, reference))
+        if value is None:
+            assert rows == []
+            return
+        ((objective, used, unused),) = rows
+        assert objective == value
+        residuals = _stability_residuals(*reference[:1], *reference[2:], caps, tails, heads, 0.5)
+        assert (used, unused) == residuals[:2]
 
 
 def _segment_cases():
@@ -430,7 +493,7 @@ def _segment_cases():
     cases = [(f"desk{i}", inst, COORD) for i, inst in enumerate(desk)]
     cases += [(f"desk{i}-cap9", inst, SolverConfig(max_iters=9)) for i, inst in enumerate(desk)]
     cases += [(f"tight{s}-cap41", _tight_instance(s), SolverConfig(max_iters=41)) for s in (4, 5)]
-    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in cases]
+    return [pytest.param(inst, cfg, id=name) for name, inst, cfg in _with_pgd(cases)]
 
 
 class TestSegments:
@@ -438,7 +501,7 @@ class TestSegments:
     @pytest.mark.parametrize("segment", [1, 2, 7])
     def test_segment_boundaries_match_python_loop(self, monkeypatch, segment, inst, cfg):
         monkeypatch.setattr(_kernel, "SEGMENT", segment)
-        assert_bitwise_same(solve_coordinate(inst, cfg), _python_only_solve(inst, cfg))
+        assert_bitwise_same(solve(inst, cfg), _python_only_solve(inst, cfg))
 
     @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
     def test_nan_residual_stops_inside_segment(self, monkeypatch, segment):
@@ -456,6 +519,48 @@ class TestSegments:
         assert not compiled.converged
         assert compiled.trace_csv() == reference.trace_csv()
         assert compiled.flow.flows.tobytes() == reference.flow.flows.tobytes()
+
+    @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
+    @pytest.mark.parametrize(
+        "demand,commodities,iterations,converged", [(1e308, 5, 0, False), (1e307, 2, 15, True)]
+    )
+    def test_pgd_overflow_matches_python_loop(
+        self, monkeypatch, segment, demand, commodities, iterations, converged
+    ):
+        # A PGD step is accepted only on a change < 0, and a NaN or an
+        # inf - inf in the residuals of a trial makes its change NaN, so no
+        # PGD row after the first has a NaN residual. On the 1e308 instance
+        # the first step finds no descent. At 1e307 the objective is NaN
+        # from the first row on (inf + -inf); the residuals still fall, and
+        # the loop stops on a row within tol inside the segment.
+        monkeypatch.setattr(_kernel, "SEGMENT", segment)
+        inst = Instance(
+            3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, demand)] * commodities
+        )
+        cfg = SolverConfig(method=Method.PGD, max_iters=50)
+        with np.errstate(all="ignore"):
+            compiled = solve(inst, cfg)
+            reference = _python_only_solve(inst, cfg)
+        assert compiled.iterations == iterations
+        assert compiled.converged == converged
+        assert not any(math.isnan(v) for row in compiled.trace for v in row[2:])
+        assert all(math.isnan(row.objective) for row in compiled.trace[1:])
+        assert compiled.trace_csv() == reference.trace_csv()
+        assert compiled.flow.flows.tobytes() == reference.flow.flows.tobytes()
+        assert compiled.flow.slacks.tobytes() == reference.flow.slacks.tobytes()
+
+    @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
+    @pytest.mark.parametrize("index,iterations", [(0, 163), (1, 56)])
+    def test_pgd_no_descent_inside_segment(self, monkeypatch, segment, index, iterations):
+        # No state meets a relative tol of 1e-300, so PGD runs until no
+        # trial descends. 163 stops inside segments of 7 and 64; 56 stops
+        # inside a segment of 64 and, at 7, on the first step of a call.
+        monkeypatch.setattr(_kernel, "SEGMENT", segment)
+        inst = desk_scale_batch(6, seed=23)[index]
+        cfg = SolverConfig(method=Method.PGD, tol=1e-300)
+        compiled = solve(inst, cfg)
+        assert compiled.iterations == iterations and not compiled.converged
+        assert_bitwise_same(compiled, _python_only_solve(inst, cfg))
 
 
 @pytest.fixture
@@ -475,8 +580,8 @@ class TestKernelLoading:
     )
     def test_loader_failure_falls_back(self, failure, monkeypatch, tmp_path, fresh_load):
         inst = _tight_instance(1)
-        cfg = SolverConfig(max_iters=30)
-        expected = solve_coordinate(inst, cfg)
+        configs = [SolverConfig(method=method, max_iters=30) for method in Method]
+        expected = [solve(inst, cfg) for cfg in configs]
         _kernel.load.cache_clear()
         monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path))
         if failure == "no-compiler":
@@ -491,7 +596,8 @@ class TestKernelLoading:
             (tmp_path / "file").write_text("")
             monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "file" / "cache"))
         assert _kernel.load() is None
-        assert_bitwise_same(solve_coordinate(inst, cfg), expected)
+        for cfg, result in zip(configs, expected):
+            assert_bitwise_same(solve(inst, cfg), result)
 
     def test_compiled_kernel_in_use_when_compiler_present(self, monkeypatch):
         if _system_compiler() is None:
@@ -502,7 +608,18 @@ class TestKernelLoading:
             raise AssertionError("solve fell back to the Python loop")
 
         monkeypatch.setattr(solvers, "_python_sweep", python_loop_called)
-        assert solve_coordinate(_tight_instance(2), SolverConfig(max_iters=5)).iterations == 5
+        monkeypatch.setattr(solvers, "_pgd_step", python_loop_called)
+        for method in Method:
+            cfg = SolverConfig(method=method, max_iters=5)
+            assert solve(_tight_instance(2), cfg).iterations == 5
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        if _system_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        strict = ("-std=c99", "-Wall", "-Wextra", "-Werror")
+        command = [*_kernel._compiler(), *strict, *_kernel.FLAGS, "-o", str(tmp_path / "k.so")]
+        built = subprocess.run([*command, _kernel.SOURCE], capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
 
     def test_build_is_keyed_and_atomic(self, monkeypatch, tmp_path, fresh_load):
         if _system_compiler() is None:
@@ -534,7 +651,7 @@ class TestKernelArrayGuard:
         lib = _kernel.load()
         if lib is None:
             pytest.skip("no compiled kernel on this platform")
-        kernel = _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
+        kernel = _kernel.Kernel(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
         kernel.run(1e-8, 1)
 
     @pytest.mark.parametrize(
@@ -559,14 +676,29 @@ class TestKernelArrayGuard:
         arrays = self.arrays()
         arrays[name] = bad(arrays[name])
         with pytest.raises(ValueError):
-            _kernel.Sweep(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+            _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda a: a[:, :-1], lambda a: a.astype(np.float32), np.asfortranarray],
+    )
+    def test_bad_injection_rejected(self, bad):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays()
+        injection = bad(np.zeros_like(arrays["excesses"]))
+        with pytest.raises(ValueError, match="injection"):
+            _kernel.Kernel(
+                lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA, injection=injection
+            )
 
     @pytest.mark.parametrize("n", [0, -1, _kernel.SEGMENT + 1])
     def test_run_length_outside_buffer_rejected(self, n):
         lib = _kernel.load()
         if lib is None:
             pytest.skip("no compiled kernel on this platform")
-        kernel = _kernel.Sweep(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
+        kernel = _kernel.Kernel(lib, **self.arrays(), use_threshold=0.0, omega=solvers._OMEGA)
         with pytest.raises(ValueError, match="n must lie in"):
             kernel.run(1e-8, n)
 
@@ -577,4 +709,4 @@ class TestKernelArrayGuard:
         arrays = self.arrays()
         arrays["flows"].setflags(write=False)
         with pytest.raises(ValueError, match="writable"):
-            _kernel.Sweep(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+            _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
