@@ -44,7 +44,6 @@ class _State(ctypes.Structure):
         ("caps", ctypes.c_void_p),
         ("tails", ctypes.c_void_p),
         ("heads", ctypes.c_void_p),
-        ("injection", ctypes.c_void_p),
         ("work", ctypes.c_void_p),
         ("n_vertices", ctypes.c_int64),
         ("n_arcs", ctypes.c_int64),
@@ -52,7 +51,7 @@ class _State(ctypes.Structure):
         ("pgd", ctypes.c_int64),
         ("use_threshold", ctypes.c_double),
         ("omega", ctypes.c_double),
-        ("value", ctypes.c_double),
+        ("scale", ctypes.c_double),
     ]
 
 
@@ -138,9 +137,9 @@ class Kernel:
     converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
     updated in place by :meth:`run` and must outlive this object, which
     keeps references to them. Each iteration is an over-relaxed sweep with
-    factor ``omega``, or, given ``injection`` (the (commodity, vertex)
-    demand injection), a PGD step from ``value``, the slack-form objective
-    of the arrays as bound.
+    factor ``omega``, or, given ``scale`` (the instance's power-of-two
+    scale, the unit in which the step reads slope and curvature), a PGD
+    step with the exact step length.
     """
 
     def __init__(
@@ -155,8 +154,7 @@ class Kernel:
         heads: np.ndarray,
         use_threshold: float,
         omega: float,
-        injection: np.ndarray | None = None,
-        value: float = 0.0,
+        scale: float | None = None,
     ) -> None:
         if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
             raise ValueError("flows must be a 2-d (commodity, arc) array")
@@ -176,21 +174,20 @@ class Kernel:
         ):
             raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
         work = None
-        if injection is not None:
-            _require(injection, np.float64, (n_commodities, n_vertices), "injection", False)
-            # Gradients and trial flows; gap, trial slacks, totals and gap;
-            # trial excesses; inflow and outflow of one commodity.
-            work = np.empty(2 * flows.size + 4 * n_arcs + excesses.size + 2 * n_vertices)
-        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, injection, work)
+        if scale is not None:
+            # Flow moves; gap and slack moves; inflow and outflow of one
+            # commodity.
+            work = np.empty(flows.size + 2 * n_arcs + 2 * n_vertices)
+        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, work)
         self._state = _State(
             *(None if array is None else array.ctypes.data for array in self._arrays),
             n_vertices,
             n_arcs,
             n_commodities,
-            injection is not None,
+            scale is not None,
             use_threshold,
             omega,
-            value,
+            scale or 0.0,
         )
         self._ref = ctypes.byref(self._state)
         self._rows = np.empty((SEGMENT, 3))
@@ -203,8 +200,8 @@ class Kernel:
 
         Returns one (slack-form objective, used residual, unused residual)
         row per iteration run, each of the state that iteration leaves. The
-        run stops after the first row whose larger residual is <= ``tol`` or
-        NaN, and before a PGD step that finds no descent.
+        run stops early only after the first row whose larger residual is
+        <= ``tol`` or NaN.
         """
         if not 1 <= n <= len(self._rows):
             raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")

@@ -1,31 +1,31 @@
 /* The iterations of both solvers of the slack-form objective: over-relaxed
  * Gauss-Seidel sweeps (coordinate descent) and projected gradient steps
- * with Armijo backtracking (PGD). One call runs a segment of iterations of
- * the method the state names; after each it writes the trace row (the
- * objective and the stability residuals) and stops early once the state is
- * stable, a residual is NaN, or no PGD trial descends.
+ * with the exact step (PGD). One call runs a segment of iterations of the
+ * method the state names; after each it writes the trace row (the
+ * objective and the stability residuals) and stops early only once the
+ * state is stable or a residual is NaN. Neither method has a stall exit.
  *
  * Each sweep moves a flow to max(0, x - omega * (g/3)). omega is set by
  * the caller (solvers._OMEGA); with omega = 1.0 the product is exactly
  * g/3, the plain Gauss-Seidel step.
  *
+ * Each PGD step moves along d = P(x - g) - x by the t in [0, 1] that
+ * minimizes the objective's parabola along d; the box is convex and holds
+ * both ends of the move, so it holds the whole move. Slope and curvature
+ * are read in units of the scale (a power of two, so dividing by it is
+ * exact): the raw products overflow near demands of 1e200, and t would
+ * then read 1 at every step.
+ *
  * Compiled and loaded by _kernel.py. The Python loops in solvers
  * (_python_sweep, _pgd_step) are the reference and the fallback: every
  * floating-point expression below is the one there or in
- * pseudoflow._excess_matrix, _slack_objective and _stability_residuals,
+ * pseudoflow._flow_scatter, _slack_objective and _stability_residuals,
  * evaluated in the same order, and the build turns off contraction into
  * fused multiply-adds, so results are bitwise equal to the Python code.
  * Every sum over an array is sequential, left to right in C order.
  */
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
-
-/* solvers.ARMIJO_BETA, solvers.ARMIJO_SIGMA and the trial cap of
- * solvers._pgd_step. */
-#define ARMIJO_BETA 0.5
-#define ARMIJO_SIGMA 1e-4
-#define ARMIJO_TRIALS 80
 
 /* Arrays of one solve, all C-contiguous; mirrored by _kernel._State. */
 typedef struct {
@@ -36,7 +36,6 @@ typedef struct {
     const double *caps;      /* (n_arcs,) */
     const int64_t *tails;    /* (n_arcs,) in [0, n_vertices) */
     const int64_t *heads;    /* (n_arcs,) in [0, n_vertices) */
-    const double *injection; /* (n_commodities, n_vertices); PGD only */
     double *work;            /* PGD only; laid out in pgd_step */
     int64_t n_vertices;
     int64_t n_arcs;
@@ -44,7 +43,7 @@ typedef struct {
     int64_t pgd;             /* nonzero: PGD steps; zero: sweeps */
     double use_threshold;
     double omega;            /* over-relaxation factor of the flow step, in (0, 2) */
-    double value;            /* slack-form objective of the current state */
+    double scale;            /* PGD only: Instance.scale, a power of two */
 } sf_state;
 
 /* One sweep: arcs ascending, the arc's slack first, then each commodity's
@@ -97,106 +96,102 @@ static double clip(double v, double cap)
     return (v < cap || v != v) ? v : cap;
 }
 
-/* One projected gradient step with Armijo backtracking from step 1, in
- * place, as solvers._pgd_step. Returns 1 and adds the objective change to
- * s->value when a trial lowers the objective strictly, 0 when none of
- * ARMIJO_TRIALS does. */
-static int pgd_step(sf_state *s)
+/* inflow and outflow of one commodity's arc values, as the bincounts of
+ * pseudoflow._flow_scatter: each slot started at 0.0, arcs in order. A slot
+ * k*V + v there only takes commodity k's values, so scattering one
+ * commodity at a time adds in the same order. */
+static void scatter(const sf_state *s, const double *flow, double *inflow, double *outflow)
+{
+    for (int64_t v = 0; v < s->n_vertices; v++)
+        inflow[v] = outflow[v] = 0.0;
+    for (int64_t a = 0; a < s->n_arcs; a++) {
+        inflow[s->heads[a]] += flow[a];
+        outflow[s->tails[a]] += flow[a];
+    }
+}
+
+/* One projected gradient step with the exact step length, in place, as
+ * solvers._pgd_step. */
+static void pgd_step(sf_state *s)
 {
     const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
     const int64_t n_commodities = s->n_commodities;
-    const int64_t n_flows = n_commodities * n_arcs;
-    const int64_t n_excesses = n_commodities * n_vertices;
-    double *flow_grad = s->work;
-    double *trial_flows = flow_grad + n_flows;
-    double *gap = trial_flows + n_flows;
-    double *trial_slacks = gap + n_arcs;
-    double *trial_totals = trial_slacks + n_arcs;
-    double *trial_gap = trial_totals + n_arcs;
-    double *trial_excesses = trial_gap + n_arcs;
-    double *inflow = trial_excesses + n_excesses;
+    const double scale = s->scale;
+    double *flow_move = s->work; /* d, then the realized flow change */
+    double *gap = flow_move + n_commodities * n_arcs;
+    double *slack_move = gap + n_arcs;
+    double *inflow = slack_move + n_arcs;
     double *outflow = inflow + n_vertices;
 
+    /* _sequential_sum starts at the first term; -0.0 + x is x bitwise, so
+     * starting at -0.0 adds the same. (An empty sum is then -0.0 rather
+     * than 0.0; either gives t = 0.) */
+    double flow_slope = -0.0, slack_slope = -0.0;
     for (int64_t a = 0; a < n_arcs; a++)
         gap[a] = (s->totals[a] + s->slacks[a]) - s->caps[a];
-    /* gap[None, :] + excesses[:, heads] - excesses[:, tails], left to right. */
     for (int64_t k = 0; k < n_commodities; k++) {
         const double *excess = s->excesses + k * n_vertices;
-        for (int64_t a = 0; a < n_arcs; a++)
-            flow_grad[k * n_arcs + a] = (gap[a] + excess[s->heads[a]]) - excess[s->tails[a]];
+        for (int64_t a = 0; a < n_arcs; a++) {
+            const int64_t i = k * n_arcs + a;
+            /* gap[None, :] + excesses[:, heads] - excesses[:, tails] */
+            const double grad = (gap[a] + excess[s->heads[a]]) - excess[s->tails[a]];
+            flow_move[i] = max_zero(s->flows[i] - grad) - s->flows[i];
+            flow_slope += (grad / scale) * (flow_move[i] / scale);
+        }
     }
+    for (int64_t a = 0; a < n_arcs; a++) {
+        slack_move[a] = clip(s->slacks[a] - gap[a], s->caps[a]) - s->slacks[a];
+        slack_slope += (gap[a] / scale) * (slack_move[a] / scale);
+    }
+    const double slope = flow_slope + slack_slope;
 
-    double step = 1.0;
-    for (int trial = 0; trial < ARMIJO_TRIALS; trial++, step *= ARMIJO_BETA) {
-        for (int64_t i = 0; i < n_flows; i++)
-            trial_flows[i] = max_zero(s->flows[i] - step * flow_grad[i]);
-        for (int64_t a = 0; a < n_arcs; a++)
-            trial_slacks[a] = clip(s->slacks[a] - step * gap[a], s->caps[a]);
-
-        /* _sequential_sum starts at the first term; -0.0 + x is x bitwise,
-         * so starting at -0.0 adds the same. (An empty sum is then -0.0
-         * rather than 0.0; the sign of a zero cannot change the test below,
-         * which compares it and rejects a zero change.) */
-        double flow_inner = -0.0, slack_inner = -0.0;
-        for (int64_t i = 0; i < n_flows; i++)
-            flow_inner += flow_grad[i] * (trial_flows[i] - s->flows[i]);
-        for (int64_t a = 0; a < n_arcs; a++)
-            slack_inner += gap[a] * (trial_slacks[a] - s->slacks[a]);
-        const double inner = flow_inner + slack_inner;
-
-        /* trial_flows.sum(axis=0): numpy starts each total at 0.0 and adds
-         * the commodities in order. */
-        for (int64_t a = 0; a < n_arcs; a++)
-            trial_totals[a] = 0.0;
+    /* flow_move.sum(axis=0): numpy starts each sum at 0.0 and adds the
+     * commodities in order. */
+    double gap_curvature = 0.0, excess_curvature = 0.0;
+    for (int64_t a = 0; a < n_arcs; a++) {
+        double change = 0.0;
         for (int64_t k = 0; k < n_commodities; k++)
-            for (int64_t a = 0; a < n_arcs; a++)
-                trial_totals[a] += trial_flows[k * n_arcs + a];
-        for (int64_t a = 0; a < n_arcs; a++)
-            trial_gap[a] = (trial_totals[a] + trial_slacks[a]) - s->caps[a];
-        /* _excess_matrix: injection + (inflow - outflow), where inflow and
-         * outflow are bincount scatters over (k, a) in C order, each slot
-         * started at 0.0. A slot k*V + v only takes commodity k's flows, so
-         * scattering one commodity at a time adds in the same order. */
-        for (int64_t k = 0; k < n_commodities; k++) {
-            const double *flow = trial_flows + k * n_arcs;
-            for (int64_t v = 0; v < n_vertices; v++)
-                inflow[v] = outflow[v] = 0.0;
-            for (int64_t a = 0; a < n_arcs; a++) {
-                inflow[s->heads[a]] += flow[a];
-                outflow[s->tails[a]] += flow[a];
-            }
-            const double *inject = s->injection + k * n_vertices;
-            double *excess = trial_excesses + k * n_vertices;
-            for (int64_t v = 0; v < n_vertices; v++)
-                excess[v] = inject[v] + (inflow[v] - outflow[v]);
-        }
-
-        /* The exact change of the quadratic along the move: the trapezoid
-         * of the two endpoint gradients. */
-        double flow_change = -0.0, slack_change = -0.0;
-        for (int64_t k = 0; k < n_commodities; k++) {
-            const double *excess = trial_excesses + k * n_vertices;
-            for (int64_t a = 0; a < n_arcs; a++) {
-                const int64_t i = k * n_arcs + a;
-                const double trial_grad =
-                    (trial_gap[a] + excess[s->heads[a]]) - excess[s->tails[a]];
-                flow_change += (flow_grad[i] + trial_grad) * (trial_flows[i] - s->flows[i]);
-            }
-        }
-        for (int64_t a = 0; a < n_arcs; a++)
-            slack_change += (gap[a] + trial_gap[a]) * (trial_slacks[a] - s->slacks[a]);
-        const double change = 0.5 * (flow_change + slack_change);
-
-        if (change <= ARMIJO_SIGMA * inner && change < 0.0) {
-            memcpy(s->flows, trial_flows, n_flows * sizeof(double));
-            memcpy(s->slacks, trial_slacks, n_arcs * sizeof(double));
-            memcpy(s->totals, trial_totals, n_arcs * sizeof(double));
-            memcpy(s->excesses, trial_excesses, n_excesses * sizeof(double));
-            s->value += change;
-            return 1;
+            change += flow_move[k * n_arcs + a];
+        change = (change + slack_move[a]) / scale;
+        gap_curvature += change * change;
+    }
+    for (int64_t k = 0; k < n_commodities; k++) {
+        scatter(s, flow_move + k * n_arcs, inflow, outflow);
+        for (int64_t v = 0; v < n_vertices; v++) {
+            const double change = (inflow[v] - outflow[v]) / scale;
+            excess_curvature += change * change;
         }
     }
-    return 0;
+    const double curvature = gap_curvature + excess_curvature;
+
+    double t;
+    if (!(slope < 0.0))
+        t = 0.0;
+    else if (curvature <= -slope)
+        t = 1.0;
+    else
+        t = -slope / curvature;
+
+    for (int64_t k = 0; k < n_commodities; k++) {
+        double *flow = s->flows + k * n_arcs;
+        double *change = flow_move + k * n_arcs;
+        for (int64_t a = 0; a < n_arcs; a++) {
+            const double moved = flow[a] + t * change[a];
+            change[a] = moved - flow[a];
+            flow[a] = moved;
+        }
+        scatter(s, change, inflow, outflow);
+        double *excess = s->excesses + k * n_vertices;
+        for (int64_t v = 0; v < n_vertices; v++)
+            excess[v] += inflow[v] - outflow[v];
+    }
+    for (int64_t a = 0; a < n_arcs; a++) {
+        s->slacks[a] = clip(s->slacks[a] + t * slack_move[a], s->caps[a]);
+        double total = 0.0;
+        for (int64_t k = 0; k < n_commodities; k++)
+            total += s->flows[k * n_arcs + a];
+        s->totals[a] = total;
+    }
 }
 
 /* out[0]: largest |drop - psi| over pairs whose flow exceeds the use
@@ -243,21 +238,18 @@ static double objective(const sf_state *s)
 
 /* Up to n iterations; iteration i writes rows[3i .. 3i+2]: the objective
  * and the residuals of sf_residuals, all of the state it leaves. Returns
- * the number of rows written. It stops after the first row whose larger
- * residual is <= tol or NaN, the rows that end solvers.solve's loop, and
- * before writing a row when a PGD step finds no descent. */
+ * the number of rows written, fewer than n only after the first row whose
+ * larger residual is <= tol or NaN, the rows that end solvers.solve's
+ * loop. */
 int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
 {
     for (int64_t i = 0; i < n; i++) {
         double *row = rows + 3 * i;
-        if (s->pgd) {
-            if (!pgd_step(s))
-                return i;
-        } else {
+        if (s->pgd)
+            pgd_step(s);
+        else
             sweep(s);
-            s->value = objective(s);
-        }
-        row[0] = s->value;
+        row[0] = objective(s);
         sf_residuals(s, row + 1);
         const double used = row[1], unused = row[2];
         if (used != used || unused != unused || (used <= tol && unused <= tol))

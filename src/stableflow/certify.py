@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
 from .model import Instance, generate_random_instance
@@ -40,25 +38,20 @@ class VerdictKind(Enum):
     UNDECIDED = "UNDECIDED"
 
 
-class ResidualSummary(NamedTuple):
-    objective: float
-    used_residual: float
-    unused_residual: float
-
-
 @dataclass(eq=False)
 class Verdict:
     """Outcome of classification.
 
     ``flow`` is present exactly for FEASIBLE verdicts; ``certificate`` (the
     stability report of the converged nonzero state: heights, congestions,
-    objective) exactly for INFEASIBLE ones.
+    objective) exactly for INFEASIBLE ones. ``report`` is the solve's
+    stability report, whatever the kind.
     """
 
     kind: VerdictKind
     flow: PseudoFlow | None
     certificate: StabilityReport | None
-    residual_summary: ResidualSummary
+    report: StabilityReport
 
 
 def classify(inst: Instance, result: SolveResult) -> Verdict:
@@ -76,17 +69,14 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     scale = inst.scale
     zero_tol = 1e-9 * scale * scale  # not ``** 2``: that raises OverflowError past ~1e154
     report = result.report
-    summary = ResidualSummary(
-        report.objective, report.used_arc_residual, report.unused_arc_residual
-    )
     stable = report.max_residual <= result.config.tol * scale
     if stable and report.objective <= zero_tol:
         if check_feasible(inst, result.flow.flows, 1e-6 * scale).ok:
-            return Verdict(VerdictKind.FEASIBLE, result.flow, None, summary)
-        return Verdict(VerdictKind.UNDECIDED, None, None, summary)
+            return Verdict(VerdictKind.FEASIBLE, result.flow, None, report)
+        return Verdict(VerdictKind.UNDECIDED, None, None, report)
     if stable and report.objective > 10.0 * zero_tol:
-        return Verdict(VerdictKind.INFEASIBLE, None, report, summary)
-    return Verdict(VerdictKind.UNDECIDED, None, None, summary)
+        return Verdict(VerdictKind.INFEASIBLE, None, report, report)
+    return Verdict(VerdictKind.UNDECIDED, None, None, report)
 
 
 def render_verdict_report(
@@ -97,12 +87,12 @@ def render_verdict_report(
     converged: bool | None = None,
 ) -> str:
     """Structured text report: kind, objective, residuals, flow dump if any."""
-    summary = verdict.residual_summary
+    report = verdict.report
     lines = [
         f"verdict {verdict.kind.value}",
-        f"objective {summary.objective!r}",
-        f"used_residual {summary.used_residual!r}",
-        f"unused_residual {summary.unused_residual!r}",
+        f"objective {report.objective!r}",
+        f"used_residual {report.used_arc_residual!r}",
+        f"unused_residual {report.unused_arc_residual!r}",
     ]
     if iterations is not None:
         lines.append(f"iterations {iterations}")
@@ -113,9 +103,9 @@ def render_verdict_report(
         text += write_flow_dump(
             inst,
             verdict.flow.flows,
-            summary.objective,
-            summary.used_residual,
-            summary.unused_residual,
+            report.objective,
+            report.used_arc_residual,
+            report.unused_arc_residual,
         )
     return text
 
@@ -280,7 +270,6 @@ __all__ = [
     "ORACLE_MAX_COMMODITIES",
     "ORACLE_MAX_VERTICES",
     "OracleSizeError",
-    "ResidualSummary",
     "Verdict",
     "VerdictKind",
     "classify",

@@ -330,7 +330,6 @@ def generate_random_instance(
     seed: int,
     *,
     integer_values: bool = False,
-    allow_parallel: bool = True,
 ) -> Instance:
     """Generate a random valid instance, deterministically for a fixed seed.
 
@@ -339,9 +338,8 @@ def generate_random_instance(
     demands are integers drawn uniformly from the given ranges.
 
     Raises:
-        GenerationError: If ``n_vertices < 2``, a range is invalid, or
-            ``allow_parallel=False`` and ``n_arcs`` exceeds the number of
-            distinct ordered pairs.
+        GenerationError: If ``n_vertices < 2``, a count is negative or a
+            range is invalid.
     """
     if n_vertices < 2:
         raise GenerationError(f"need at least 2 vertices, got {n_vertices}")
@@ -352,19 +350,7 @@ def generate_random_instance(
 
     rng = np.random.default_rng(seed)
 
-    if allow_parallel:
-        pairs = _sample_distinct_pairs(rng, n_vertices, n_arcs)
-    else:
-        n_pairs = n_vertices * (n_vertices - 1)
-        if n_arcs > n_pairs:
-            raise GenerationError(
-                f"{n_arcs} arcs requested but only {n_pairs} distinct ordered pairs exist"
-            )
-        codes = rng.choice(n_pairs, size=n_arcs, replace=False)
-        tails = codes // (n_vertices - 1)
-        rem = codes % (n_vertices - 1)
-        heads = np.where(rem < tails, rem, rem + 1)
-        pairs = np.stack([tails, heads], axis=1)
+    pairs = _sample_distinct_pairs(rng, n_vertices, n_arcs)
     capacities = _sample_values(rng, n_arcs, cap_lo, cap_hi, integer_values)
 
     endpoints = _sample_distinct_pairs(rng, n_vertices, n_commodities)

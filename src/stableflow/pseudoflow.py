@@ -157,12 +157,17 @@ def _excess_matrix(inst: Instance, flows: np.ndarray) -> np.ndarray:
             f"flows shape {flows.shape} does not match "
             f"{(inst.commodity_count, inst.arc_count)}"
         )
+    return inst.injection + _flow_scatter(inst, flows)
+
+
+def _flow_scatter(inst: Instance, flows: np.ndarray) -> np.ndarray:
+    """(K, V) inflow - outflow of (K, A) flows, each a bincount started at 0.0."""
     head_slots, tail_slots = inst.excess_slots
     flat = flows.ravel()
     size = inst.injection.size
     inflow = np.bincount(head_slots, flat, size)
     outflow = np.bincount(tail_slots, flat, size)
-    return inst.injection + (inflow - outflow).reshape(inst.injection.shape)
+    return (inflow - outflow).reshape(inst.injection.shape)
 
 
 def excess(inst: Instance, pf: PseudoFlow, vertex: int, commodity: int) -> float:

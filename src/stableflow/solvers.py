@@ -4,7 +4,12 @@ Both solvers minimize the slack-form objective (a convex box-constrained
 quadratic: flows >= 0, slacks in [0, capacity]) and stop when the stability
 residuals fall below the configured tolerance:
 
-* PGD: projected gradient descent with Armijo backtracking from step 1.
+* PGD: projected gradient descent with the exact step. From the gradient g
+  it takes the direction d = P(x - g) - x, P the projection onto the box.
+  The objective along d is a parabola, so the step t in [0, 1] that
+  minimizes it has a closed form (the limited-minimization rule of gradient
+  projection, Bertsekas 1976). Both ends of the move lie in the box, and the
+  box is convex, so every t <= 1 stays inside it.
 * COORDINATE: deterministic, projected over-relaxed Gauss-Seidel sweeps
   (projected SOR); per arc, the slack is set to its exact minimizer, then
   each commodity's flow on the arc moves to max(0, x - omega * (g/3)). The
@@ -17,6 +22,10 @@ residuals fall below the configured tolerance:
   no update raises the objective and every trace is monotone. The fixed
   points are those of omega = 1: x = max(0, x - omega*g/3) holds exactly
   when x = max(0, x - g/3).
+
+Neither method has a stall exit: a solve stops on tol, on a NaN residual or
+at ``max_iters``. A PGD step at a point where the slope along d is not
+negative has t = 0 and leaves the point where it is.
 
 Both methods run their iterations in the compiled kernel (``_sweep.c``,
 loaded by ``_kernel``) when it can be built. :func:`_python_sweep` and
@@ -41,6 +50,7 @@ from .pseudoflow import (
     StabilityReport,
     _USE_FRACTION,
     _excess_matrix,
+    _flow_scatter,
     _max_residual,
     _sequential_sum,
     _slack_objective,
@@ -49,9 +59,6 @@ from .pseudoflow import (
     stability_report,
 )
 
-# PGD backtracking: shrink factor of the step and sufficient-decrease fraction.
-ARMIJO_BETA = 0.5
-ARMIJO_SIGMA = 1e-4
 # Over-relaxation factor of the coordinate flow step; any value in (0, 2)
 # descends. 1.5 takes a quarter to a third fewer sweeps than 1 on the bench
 # corpora (median desk 27 -> 18, tight 136 -> 100, large 42 -> 29).
@@ -86,8 +93,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
 
 
 class TraceRow(NamedTuple):
@@ -155,17 +162,17 @@ def solve(
     which returns a list of trace rows (objective, used residual, unused
     residual), one per iteration it ran. It stops when both stability
     residuals are within ``cfg.tol * inst.scale``, at once when either is
-    NaN, after ``cfg.max_iters`` iterations, or when PGD finds no descent
-    step; ``converged`` is read off the final report, so the two always
+    NaN, or after ``cfg.max_iters`` iterations; neither method has another
+    exit. ``converged`` is read off the final report, so the two always
     agree. Flows, report and trace are in the instance's own units.
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, one
     call runs a segment of up to ``_kernel.SEGMENT`` iterations of either
     method, each with its objective and residual check, and returns early
-    on a row that stops the loop or when PGD finds no descent step.
-    Otherwise one iteration at a time runs in :func:`_python_sweep` or
-    :func:`_pgd_step`, and the residual check in numpy. Both give bitwise
-    the same result; both sum sequentially, left to right.
+    only on a row that stops the loop. Otherwise one iteration at a time
+    runs in :func:`_python_sweep` or :func:`_pgd_step`, and the objective
+    and residual check in numpy. Both give bitwise the same result; both
+    sum sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
 
@@ -176,44 +183,39 @@ def solve(
     totals = flows.sum(axis=0)
     excesses = _excess_matrix(inst, flows)
     state = (flows, slacks, totals, excesses, caps, tails, heads)
-    value = _slack_objective(totals, slacks, caps, excesses)
     # Each step runs at most n iterations and returns their trace rows. It
-    # returns fewer only after a row that stops the loop, or when PGD finds
-    # no descent step.
+    # returns fewer only after a row that stops the loop.
     lib = _kernel.load()
     if lib is not None:
-        injection = inst.injection if cfg.method is Method.PGD else None
-        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, injection, value)
+        scale = inst.scale if cfg.method is Method.PGD else None
+        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, scale)
         residuals = kernel.residuals
         segment = _kernel.SEGMENT
-
-        def step(value: float, n: int) -> list[Sequence[float]]:
-            return kernel.run(tol, n)
+        step = kernel.run
     else:
         def residuals() -> tuple[float, float]:
             return _stability_residuals(flows, totals, excesses, caps, tails, heads, threshold)[:2]
 
-        segment = 1  # the Python steps run one iteration
         if cfg.method is Method.PGD:
-            def step(value: float, n: int) -> list[Sequence[float]]:
-                new_value = _pgd_step(inst, flows, slacks, totals, excesses, value)
-                return [] if new_value is None else [(new_value, *residuals())]
+            def advance() -> None:
+                _pgd_step(inst, flows, slacks, totals, excesses)
         else:
-            def step(value: float, n: int) -> list[Sequence[float]]:
+            def advance() -> None:
                 _python_sweep(*state)
-                return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
+
+        segment = 1  # the Python steps run one iteration
+
+        def step(tol: float, n: int) -> list[Sequence[float]]:
+            advance()
+            return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
 
     used_res, unused_res = residuals()
-    trace = [TraceRow(0, value, used_res, unused_res)]
+    trace = [TraceRow(0, _slack_objective(totals, slacks, caps, excesses), used_res, unused_res)]
     iterations = 0
     while _max_residual(used_res, unused_res) > tol and iterations < cfg.max_iters:
-        n = min(segment, cfg.max_iters - iterations)
-        rows = step(value, n)
-        if not rows:
-            break
+        rows = step(tol, min(segment, cfg.max_iters - iterations))
         # Only the last row can stop the loop; the kernel returns on it.
         *passed, (value, used_res, unused_res) = rows
-        stalled = len(rows) < n and _max_residual(used_res, unused_res) > tol
         for row in passed:
             iterations += 1
             trace.append(TraceRow(iterations, *row))
@@ -225,8 +227,6 @@ def solve(
             excesses[...] = _excess_matrix(inst, flows)
             used_res, unused_res = residuals()
         trace.append(TraceRow(iterations, value, used_res, unused_res))
-        if stalled:
-            break
 
     # Final exact slack refresh; leaves flows (hence residuals) untouched.
     pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
@@ -239,7 +239,7 @@ def solve_pgd(
     cfg: SolverConfig | None = None,
     warm_start: PseudoFlow | None = None,
 ) -> SolveResult:
-    """Projected gradient descent with Armijo backtracking (see :func:`solve`)."""
+    """Projected gradient descent with the exact step (see :func:`solve`)."""
     return solve(inst, replace(cfg or SolverConfig(), method=Method.PGD), warm_start)
 
 
@@ -258,46 +258,46 @@ def _pgd_step(
     slacks: np.ndarray,
     totals: np.ndarray,
     excesses: np.ndarray,
-    value: float,
-) -> float | None:
-    """One projected gradient step with Armijo backtracking from step 1, in place.
+) -> None:
+    """One projected gradient step with the exact step length, in place.
 
-    The reference for the PGD step of ``_sweep.c``. The Armijo terms
-    ``inner`` and ``change`` are summed with :func:`_sequential_sum`, left
-    to right, as the kernel sums them. Returns the new objective value, or
-    None when no step decreases the objective strictly: the point is then
-    stationary to working precision.
+    The reference for the PGD step of ``_sweep.c``. With g the slack-form
+    gradient and d = P(x - g) - x, the objective at x + t*d is
+    f(x) + t*slope + t**2 * curvature / 2, where slope = g.d and curvature
+    = |change of the gaps|**2 + |change of the excesses|**2 along d. The
+    step takes t = -slope / curvature, cut to [0, 1]: 0 when the slope is
+    not negative, 1 when curvature <= -slope. Slope and curvature are read
+    with every factor divided by ``inst.scale``, a power of two, so the
+    division is exact. Unscaled, g.d and |change|**2 overflow to -inf and
+    inf near demands of 1e200, and t would read 1 at every step.
+    The move re-clips the slacks against rounding, re-sums the totals and
+    moves the excesses by a scatter of the realized flow change, as a sweep
+    does. Every sum is sequential, left to right, as the kernel sums.
     """
-    tails, heads, caps = inst.tails, inst.heads, inst.capacities
+    tails, heads, caps, scale = inst.tails, inst.heads, inst.capacities, inst.scale
     gap = totals + slacks - caps
     flow_grad = gap[None, :] + excesses[:, heads] - excesses[:, tails]
-    step = 1.0
-    for _ in range(80):
-        new_flows = np.maximum(flows - step * flow_grad, 0.0)
-        new_slacks = np.clip(slacks - step * gap, 0.0, caps)
-        flow_move = new_flows - flows
-        slack_move = new_slacks - slacks
-        inner = _sequential_sum(flow_grad * flow_move) + _sequential_sum(gap * slack_move)
-        new_totals = new_flows.sum(axis=0)
-        new_excesses = _excess_matrix(inst, new_flows)
-        # The objective is quadratic, so the exact change along the move is
-        # the trapezoid of the two endpoint gradients. Evaluating the Armijo
-        # test on this change avoids the cancellation that sets in when
-        # candidate objective values differ by less than one ulp.
-        new_gap = new_totals + new_slacks - caps
-        new_flow_grad = new_gap[None, :] + new_excesses[:, heads] - new_excesses[:, tails]
-        change = 0.5 * (
-            _sequential_sum((flow_grad + new_flow_grad) * flow_move)
-            + _sequential_sum((gap + new_gap) * slack_move)
-        )
-        if change <= ARMIJO_SIGMA * inner and change < 0.0:
-            flows[...] = new_flows
-            slacks[...] = new_slacks
-            totals[...] = new_totals
-            excesses[...] = new_excesses
-            return value + change
-        step *= ARMIJO_BETA
-    return None
+    flow_move = np.maximum(flows - flow_grad, 0.0) - flows
+    slack_move = np.clip(slacks - gap, 0.0, caps) - slacks
+    slope = _sequential_sum((flow_grad / scale) * (flow_move / scale)) + _sequential_sum(
+        (gap / scale) * (slack_move / scale)
+    )
+    gap_change = (flow_move.sum(axis=0) + slack_move) / scale
+    excess_change = _flow_scatter(inst, flow_move) / scale
+    curvature = _sequential_sum(gap_change * gap_change) + _sequential_sum(
+        excess_change * excess_change
+    )
+    if not slope < 0.0:
+        t = 0.0
+    elif curvature <= -slope:
+        t = 1.0
+    else:
+        t = -slope / curvature
+    moved = flows + t * flow_move
+    excesses += _flow_scatter(inst, moved - flows)
+    flows[...] = moved
+    np.clip(slacks + t * slack_move, 0.0, caps, out=slacks)
+    np.sum(flows, axis=0, out=totals)
 
 
 def _python_sweep(

@@ -218,13 +218,6 @@ class TestGenerate:
         values = [a.capacity for a in inst.arcs] + [c.demand for c in inst.commodities]
         assert all(v == int(v) and 1 <= v <= 5 for v in values)
 
-    def test_no_parallel_arcs(self):
-        inst = generate_random_instance(
-            4, 12, 1, (1, 1), (1, 1), seed=9, allow_parallel=False
-        )
-        pairs = [(a.tail, a.head) for a in inst.arcs]
-        assert len(set(pairs)) == len(pairs) == 12
-
     def test_too_few_vertices(self):
         with pytest.raises(GenerationError, match="at least 2"):
             generate_random_instance(1, 0, 0, (1, 1), (1, 1), seed=0)
@@ -232,10 +225,6 @@ class TestGenerate:
     def test_bad_range(self):
         with pytest.raises(GenerationError, match="cap_range"):
             generate_random_instance(3, 1, 1, (5, 1), (1, 1), seed=0)
-
-    def test_too_many_arcs_without_parallel(self):
-        with pytest.raises(GenerationError, match="distinct ordered pairs"):
-            generate_random_instance(2, 3, 0, (1, 1), (1, 1), seed=0, allow_parallel=False)
 
     def test_no_integers_in_range(self):
         with pytest.raises(GenerationError, match="no integers"):

@@ -62,6 +62,9 @@ class TestConfig:
             {"max_iters": 0},
             {"tol": math.inf},
             {"tol": math.nan},
+            {"max_iters": 10.5},
+            {"max_iters": 2.0},
+            {"max_iters": math.nan},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -72,6 +75,12 @@ class TestConfig:
         inst = one_arc(1.0, 1.0)
         assert solve(inst, PGD).config.method is Method.PGD
         assert solve(inst, COORD).config.method is Method.COORDINATE
+
+
+def _zero_state(inst):
+    """(flows, slacks, totals, excesses) of the zero flow, slacks at capacity."""
+    flows = np.zeros((inst.commodity_count, inst.arc_count))
+    return [flows, inst.capacities.copy(), flows.sum(axis=0), _excess_matrix(inst, flows)]
 
 
 class TestPgd:
@@ -98,11 +107,23 @@ class TestPgd:
         assert np.all(result.flow.flows == 0.0)
         assert result.report.objective == 0.0
 
-
-def _zero_state(inst):
-    """(flows, slacks, totals, excesses) of the zero flow, slacks at capacity."""
-    flows = np.zeros((inst.commodity_count, inst.arc_count))
-    return [flows, inst.capacities.copy(), flows.sum(axis=0), _excess_matrix(inst, flows)]
+    def test_first_step_hand_simulation(self, one_arc):
+        # From the zero state the gap is 0 and the excesses are +1 and -1,
+        # so g = -2 and d = 2 on the flow, 0 on the slack. Along d the gap
+        # and both excesses change by 2: slope -4, curvature 4 + 8 = 12, and
+        # the exact step t = 4/12 moves the flow to 2/3.
+        inst = one_arc(1.0, 1.0)
+        caps = inst.capacities
+        state = _zero_state(inst)
+        solvers._pgd_step(inst, *state)
+        flows, slacks, totals, excesses = state
+        assert flows[0, 0] == 2 / 3
+        assert slacks[0] == 1.0
+        assert _slack_objective(totals, slacks, caps, excesses) == pytest.approx(1 / 3, abs=1e-15)
+        # Each step stops at the minimum along its direction, so it takes
+        # many steps to reach the flow of 1.0 a full step would land on.
+        result = solve_pgd(inst)
+        assert result.converged and result.iterations == 35
 
 
 class TestCoordinate:
@@ -450,38 +471,28 @@ class TestCompiledKernel:
         _assert_pgd_steps_match(inst, flows, rng.uniform(0.0, 1.0, n_arcs) * inst.capacities)
 
     def test_pgd_step_turns_negative_zeros_positive(self):
-        # A warm start may hold -0.0. Where the gradient is 0 the trial is
-        # -0.0 - 0.0 = -0.0, and numpy's maximum and clip make it +0.0: here
-        # the flows of the zero-demand commodity and the slack of arc 1.
+        # A warm start may hold -0.0. Where the gradient is 0, x - g is
+        # -0.0 - 0.0 = -0.0, and numpy's maximum and clip project it to +0.0:
+        # here the flows of the zero-demand commodity and the slack of arc 1.
         inst = Instance(3, [(0, 1, 2.0), (1, 2, 1.0)], [(0, 2, 2.0), (0, 2, 0.0)])
         flows = np.array([[0.0, 1.0], [-0.0, -0.0]])
         _assert_pgd_steps_match(inst, flows, np.array([2.0, -0.0]), steps=1)
 
 
 def _assert_pgd_steps_match(inst, flows, slacks, steps=3):
-    """Single compiled PGD steps from (flows, slacks) match ``_pgd_step`` bitwise.
-
-    A step that finds no descent returns no row and ends the comparison.
-    """
+    """Single compiled PGD steps from (flows, slacks) match ``_pgd_step`` bitwise."""
     lib = _kernel.load()
     if lib is None:
         pytest.skip("no compiled kernel on this platform")
     caps, tails, heads = inst.capacities, inst.tails, inst.heads
     state = [flows, slacks, flows.sum(axis=0), _excess_matrix(inst, flows)]
     reference = [array.copy() for array in state]
-    value = _slack_objective(state[2], slacks, caps, state[3])
-    kernel = _kernel.Kernel(
-        lib, *state, caps, tails, heads, 0.5, solvers._OMEGA, inst.injection, value
-    )
+    kernel = _kernel.Kernel(lib, *state, caps, tails, heads, 0.5, solvers._OMEGA, inst.scale)
     for _ in range(steps):
-        rows = kernel.run(NEVER_STABLE, 1)
-        value = solvers._pgd_step(inst, *reference, value)
+        ((objective, used, unused),) = kernel.run(NEVER_STABLE, 1)
+        solvers._pgd_step(inst, *reference)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(state, reference))
-        if value is None:
-            assert rows == []
-            return
-        ((objective, used, unused),) = rows
-        assert objective == value
+        assert objective == _slack_objective(reference[2], reference[1], caps, reference[3])
         residuals = _stability_residuals(*reference[:1], *reference[2:], caps, tails, heads, 0.5)
         assert (used, unused) == residuals[:2]
 
@@ -522,17 +533,14 @@ class TestSegments:
 
     @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
     @pytest.mark.parametrize(
-        "demand,commodities,iterations,converged", [(1e308, 5, 0, False), (1e307, 2, 15, True)]
+        "demand,commodities,iterations,converged", [(1e308, 5, 2, False), (1e307, 2, 1, True)]
     )
     def test_pgd_overflow_matches_python_loop(
         self, monkeypatch, segment, demand, commodities, iterations, converged
     ):
-        # A PGD step is accepted only on a change < 0, and a NaN or an
-        # inf - inf in the residuals of a trial makes its change NaN, so no
-        # PGD row after the first has a NaN residual. On the 1e308 instance
-        # the first step finds no descent. At 1e307 the objective is NaN
-        # from the first row on (inf + -inf); the residuals still fall, and
-        # the loop stops on a row within tol inside the segment.
+        # The objective is inf from row 0 on. On the 1e308 instance the
+        # flows overflow and the loop stops on a NaN row at iteration 2; at
+        # 1e307 one step meets tol. Both stop inside the segment.
         monkeypatch.setattr(_kernel, "SEGMENT", segment)
         inst = Instance(
             3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, demand)] * commodities
@@ -543,23 +551,23 @@ class TestSegments:
             reference = _python_only_solve(inst, cfg)
         assert compiled.iterations == iterations
         assert compiled.converged == converged
-        assert not any(math.isnan(v) for row in compiled.trace for v in row[2:])
-        assert all(math.isnan(row.objective) for row in compiled.trace[1:])
+        assert math.isinf(compiled.trace[0].objective)
+        assert math.isnan(compiled.trace[-1].used_residual) != converged
         assert compiled.trace_csv() == reference.trace_csv()
         assert compiled.flow.flows.tobytes() == reference.flow.flows.tobytes()
         assert compiled.flow.slacks.tobytes() == reference.flow.slacks.tobytes()
 
     @pytest.mark.parametrize("segment", [7, _kernel.SEGMENT])
-    @pytest.mark.parametrize("index,iterations", [(0, 163), (1, 56)])
-    def test_pgd_no_descent_inside_segment(self, monkeypatch, segment, index, iterations):
-        # No state meets a relative tol of 1e-300, so PGD runs until no
-        # trial descends. 163 stops inside segments of 7 and 64; 56 stops
-        # inside a segment of 64 and, at 7, on the first step of a call.
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pgd_unreachable_tol_runs_to_max_iters(self, monkeypatch, segment, index):
+        # No state meets a relative tol of 1e-300 and PGD has no other exit,
+        # so it runs to max_iters; 150 ends partway through segments of 7
+        # and 64.
         monkeypatch.setattr(_kernel, "SEGMENT", segment)
         inst = desk_scale_batch(6, seed=23)[index]
-        cfg = SolverConfig(method=Method.PGD, tol=1e-300)
+        cfg = SolverConfig(method=Method.PGD, tol=1e-300, max_iters=150)
         compiled = solve(inst, cfg)
-        assert compiled.iterations == iterations and not compiled.converged
+        assert compiled.iterations == 150 and not compiled.converged
         assert_bitwise_same(compiled, _python_only_solve(inst, cfg))
 
 
@@ -677,21 +685,6 @@ class TestKernelArrayGuard:
         arrays[name] = bad(arrays[name])
         with pytest.raises(ValueError):
             _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [lambda a: a[:, :-1], lambda a: a.astype(np.float32), np.asfortranarray],
-    )
-    def test_bad_injection_rejected(self, bad):
-        lib = _kernel.load()
-        if lib is None:
-            pytest.skip("no compiled kernel on this platform")
-        arrays = self.arrays()
-        injection = bad(np.zeros_like(arrays["excesses"]))
-        with pytest.raises(ValueError, match="injection"):
-            _kernel.Kernel(
-                lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA, injection=injection
-            )
 
     @pytest.mark.parametrize("n", [0, -1, _kernel.SEGMENT + 1])
     def test_run_length_outside_buffer_rejected(self, n):
