@@ -1,4 +1,4 @@
-"""The compiled solver iterations and residual check, built on first use.
+"""The compiled per-solve work of both solvers, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -44,6 +44,7 @@ class _State(ctypes.Structure):
         ("caps", ctypes.c_void_p),
         ("tails", ctypes.c_void_p),
         ("heads", ctypes.c_void_p),
+        ("injection", ctypes.c_void_p),
         ("work", ctypes.c_void_p),
         ("n_vertices", ctypes.c_int64),
         ("n_arcs", ctypes.c_int64),
@@ -104,10 +105,14 @@ def load() -> ctypes.CDLL | None:
             _build(path)
         lib = ctypes.CDLL(path)
         state = ctypes.POINTER(_State)
-        lib.sf_residuals.argtypes = [state, ctypes.POINTER(ctypes.c_double)]
-        lib.sf_residuals.restype = None
+        lib.sf_check.argtypes = [state]
+        lib.sf_check.restype = ctypes.c_int64
+        lib.sf_derive.argtypes = [state, ctypes.c_void_p]
+        lib.sf_derive.restype = None
         lib.sf_run.argtypes = [state, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
         lib.sf_run.restype = ctypes.c_int64
+        lib.sf_report.argtypes = [state, ctypes.c_void_p]
+        lib.sf_report.restype = None
     except (OSError, AttributeError):
         return None
     return lib
@@ -131,15 +136,20 @@ def _require(
 
 
 class Kernel:
-    """The compiled iterations and residual check bound to one solve's arrays.
+    """The compiled per-solve work of :func:`solvers.solve`, bound to its arrays.
 
-    Every array is checked once here and its pointer stored, so a call
-    converts nothing. ``flows``, ``slacks``, ``totals`` and ``excesses`` are
-    updated in place by :meth:`run` and must outlive this object, which
-    keeps references to them. Each iteration is an over-relaxed sweep with
-    factor ``omega``, or, given ``scale`` (the instance's power-of-two
-    scale, the unit in which the step reads slope and curvature), a PGD
-    step with the exact step length.
+    Every array is checked once here, the arc endpoints in C, and its
+    pointer stored, so a call converts nothing. ``flows``, ``slacks``,
+    ``totals`` and ``excesses`` are updated in place and must outlive this
+    object, which keeps references to them. Each iteration is an
+    over-relaxed sweep with factor ``omega``, or, given ``scale`` (the
+    instance's power-of-two scale, the unit in which the step reads slope
+    and curvature), a PGD step with the exact step length. ``injection``
+    is the (commodity, vertex) demand injection that :meth:`derive` and
+    :meth:`report` add to the flows' excesses; without it there is none.
+
+    One buffer, allocated here, holds the trace rows of a segment, the
+    report and the work arrays.
     """
 
     def __init__(
@@ -155,6 +165,7 @@ class Kernel:
         use_threshold: float,
         omega: float,
         scale: float | None = None,
+        injection: np.ndarray | None = None,
     ) -> None:
         if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
             raise ValueError("flows must be a 2-d (commodity, arc) array")
@@ -169,18 +180,21 @@ class Kernel:
         _require(caps, np.float64, (n_arcs,), "caps", False)
         _require(tails, np.int64, (n_arcs,), "tails", False)
         _require(heads, np.int64, (n_arcs,), "heads", False)
-        if n_arcs and not (
-            min(tails.min(), heads.min()) >= 0 and max(tails.max(), heads.max()) < n_vertices
-        ):
-            raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
-        work = None
-        if scale is not None:
-            # Flow moves; gap and slack moves; inflow and outflow of one
-            # commodity.
-            work = np.empty(flows.size + 2 * n_arcs + 2 * n_vertices)
-        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, work)
+        if injection is not None:
+            _require(injection, np.float64, (n_commodities, n_vertices), "injection", False)
+        # Trace rows; report (heights, congestions, multipliers, residuals);
+        # work: inflow and outflow of one commodity, then for PGD the flow
+        # moves, the gaps and the slack moves.
+        self._shape = (n_vertices, n_arcs, n_commodities)
+        rows = 3 * SEGMENT
+        report = n_vertices * n_commodities + n_arcs + flows.size + 2
+        work = 2 * n_vertices + (flows.size + 2 * n_arcs if scale is not None else 0)
+        self._buffer = np.empty(rows + report + work)
+        base = self._buffer.ctypes.data
+        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, injection)
         self._state = _State(
             *(None if array is None else array.ctypes.data for array in self._arrays),
+            base + 8 * (rows + report),
             n_vertices,
             n_arcs,
             n_commodities,
@@ -190,10 +204,22 @@ class Kernel:
             scale or 0.0,
         )
         self._ref = ctypes.byref(self._state)
-        self._rows = np.empty((SEGMENT, 3))
-        self._rows_ptr = self._rows.ctypes.data
-        self._out = (ctypes.c_double * 2)()
+        if not lib.sf_check(self._ref):
+            raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
+        self._rows = self._buffer[:rows].reshape(SEGMENT, 3)
+        self._rows_ptr = base
+        self._report = self._buffer[rows : rows + report]
+        self._report_ptr = base + 8 * rows
         self._lib = lib
+
+    def derive(self) -> list[float]:
+        """Re-derives totals and excesses from the flows, in place.
+
+        Returns the (slack-form objective, used residual, unused residual)
+        row of the derived state.
+        """
+        self._lib.sf_derive(self._ref, self._rows_ptr)
+        return self._rows[0].tolist()
 
     def run(self, tol: float, n: int) -> list[list[float]]:
         """Up to ``n`` iterations, in place; 1 <= n <= SEGMENT.
@@ -208,8 +234,24 @@ class Kernel:
         done = self._lib.sf_run(self._ref, tol, n, self._rows_ptr)
         return self._rows[:done].tolist()
 
-    def residuals(self) -> tuple[float, float]:
-        """(used residual, unused residual) of the current state."""
-        self._lib.sf_residuals(self._ref, self._out)
-        return self._out[0], self._out[1]
+    def report(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """Makes the state final and reports on it, as ``stability_report`` does.
 
+        In place, flows become ``max(flows, 0)``, totals and excesses are
+        re-derived and each slack is set to its optimum. Returns heights
+        (vertex, commodity), congestions, implied multipliers (commodity,
+        arc), and the used and unused residuals. The arrays are views of
+        this kernel's buffer, which the next call overwrites.
+        """
+        self._lib.sf_report(self._ref, self._report_ptr)
+        n_vertices, n_arcs, n_commodities = self._shape
+        congestions_at = n_vertices * n_commodities
+        multipliers_at = congestions_at + n_arcs
+        used, unused = self._report[-2:].tolist()
+        return (
+            self._report[:congestions_at].reshape(n_vertices, n_commodities),
+            self._report[congestions_at:multipliers_at],
+            self._report[multipliers_at:-2].reshape(n_commodities, n_arcs),
+            used,
+            unused,
+        )

@@ -1,9 +1,16 @@
-/* The iterations of both solvers of the slack-form objective: over-relaxed
- * Gauss-Seidel sweeps (coordinate descent) and projected gradient steps
- * with the exact step (PGD). One call runs a segment of iterations of the
- * method the state names; after each it writes the trace row (the
- * objective and the stability residuals) and stops early only once the
- * state is stable or a residual is NaN. Neither method has a stall exit.
+/* The per-solve work of both solvers of the slack-form objective, for
+ * solvers.solve:
+ *
+ * - sf_check: the arc endpoints lie in [0, n_vertices), checked at bind;
+ * - sf_derive: totals and excesses derived from the flows, and the trace
+ *   row of that state; row 0 and the re-check at a stop;
+ * - sf_run: a segment of iterations, over-relaxed Gauss-Seidel sweeps
+ *   (coordinate descent) or projected gradient steps with the exact step
+ *   (PGD), each with its trace row (the objective and the stability
+ *   residuals); it stops early only once the state is stable or a residual
+ *   is NaN. Neither method has a stall exit;
+ * - sf_report: the final flows and slacks, and the report on them:
+ *   heights, congestions, implied multipliers and both residuals.
  *
  * Each sweep moves a flow to max(0, x - omega * (g/3)). omega is set by
  * the caller (solvers._OMEGA); with omega = 1.0 the product is exactly
@@ -16,13 +23,14 @@
  * exact): the raw products overflow near demands of 1e200, and t would
  * then read 1 at every step.
  *
- * Compiled and loaded by _kernel.py. The Python loops in solvers
- * (_python_sweep, _pgd_step) are the reference and the fallback: every
- * floating-point expression below is the one there or in
- * pseudoflow._flow_scatter, _slack_objective and _stability_residuals,
- * evaluated in the same order, and the build turns off contraction into
- * fused multiply-adds, so results are bitwise equal to the Python code.
- * Every sum over an array is sequential, left to right in C order.
+ * Compiled and loaded by _kernel.py. The Python code in solvers
+ * (_python_sweep, _pgd_step, and the numpy derivation and report) is the
+ * reference and the fallback: every floating-point expression below is the
+ * one there or in pseudoflow (_excess_matrix, _flow_scatter,
+ * _slack_objective, _stability_residuals, stability_report), evaluated in
+ * the same order, and the build turns off contraction into fused
+ * multiply-adds, so results are bitwise equal to the Python code. Every
+ * sum over an array is sequential, left to right in C order.
  */
 #include <math.h>
 #include <stdint.h>
@@ -34,9 +42,10 @@ typedef struct {
     double *totals;          /* (n_arcs,) flow summed over commodities */
     double *excesses;        /* (n_commodities, n_vertices) */
     const double *caps;      /* (n_arcs,) */
-    const int64_t *tails;    /* (n_arcs,) in [0, n_vertices) */
-    const int64_t *heads;    /* (n_arcs,) in [0, n_vertices) */
-    double *work;            /* PGD only; laid out in pgd_step */
+    const int64_t *tails;    /* (n_arcs,) in [0, n_vertices), by sf_check */
+    const int64_t *heads;    /* (n_arcs,) in [0, n_vertices), by sf_check */
+    const double *injection; /* (n_commodities, n_vertices) demand injection; NULL: none */
+    double *work;            /* inflow and outflow (n_vertices each); PGD adds more, see pgd_step */
     int64_t n_vertices;
     int64_t n_arcs;
     int64_t n_commodities;
@@ -96,17 +105,47 @@ static double clip(double v, double cap)
     return (v < cap || v != v) ? v : cap;
 }
 
-/* inflow and outflow of one commodity's arc values, as the bincounts of
- * pseudoflow._flow_scatter: each slot started at 0.0, arcs in order. A slot
- * k*V + v there only takes commodity k's values, so scattering one
- * commodity at a time adds in the same order. */
-static void scatter(const sf_state *s, const double *flow, double *inflow, double *outflow)
+/* inflow and outflow of one commodity's arc values into the first 2V
+ * doubles of work, as the bincounts of pseudoflow._flow_scatter: each slot
+ * started at 0.0, arcs in order. A slot k*V + v there only takes commodity
+ * k's values, so scattering one commodity at a time adds in the same
+ * order. */
+static void scatter(const sf_state *s, const double *flow)
 {
+    double *inflow = s->work, *outflow = inflow + s->n_vertices;
     for (int64_t v = 0; v < s->n_vertices; v++)
         inflow[v] = outflow[v] = 0.0;
     for (int64_t a = 0; a < s->n_arcs; a++) {
         inflow[s->heads[a]] += flow[a];
         outflow[s->tails[a]] += flow[a];
+    }
+}
+
+/* flows.sum(axis=0): numpy starts each sum at 0.0 and adds the
+ * commodities in order. */
+static void sum_totals(sf_state *s)
+{
+    const int64_t n_arcs = s->n_arcs;
+    for (int64_t a = 0; a < n_arcs; a++)
+        s->totals[a] = 0.0;
+    for (int64_t k = 0; k < s->n_commodities; k++)
+        for (int64_t a = 0; a < n_arcs; a++)
+            s->totals[a] += s->flows[k * n_arcs + a];
+}
+
+/* Totals and excesses derived from the flows, as flows.sum(axis=0) and
+ * pseudoflow._excess_matrix: injection + (inflow - outflow). */
+static void derive(sf_state *s)
+{
+    const int64_t n_vertices = s->n_vertices;
+    const double *inflow = s->work, *outflow = inflow + n_vertices;
+    sum_totals(s);
+    for (int64_t k = 0; k < s->n_commodities; k++) {
+        double *excess = s->excesses + k * n_vertices;
+        const double *injection = s->injection ? s->injection + k * n_vertices : 0;
+        scatter(s, s->flows + k * s->n_arcs);
+        for (int64_t v = 0; v < n_vertices; v++)
+            excess[v] = (injection ? injection[v] : 0.0) + (inflow[v] - outflow[v]);
     }
 }
 
@@ -117,11 +156,10 @@ static void pgd_step(sf_state *s)
     const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
     const int64_t n_commodities = s->n_commodities;
     const double scale = s->scale;
-    double *flow_move = s->work; /* d, then the realized flow change */
+    const double *inflow = s->work, *outflow = inflow + n_vertices;
+    double *flow_move = s->work + 2 * n_vertices; /* d, then the realized flow change */
     double *gap = flow_move + n_commodities * n_arcs;
     double *slack_move = gap + n_arcs;
-    double *inflow = slack_move + n_arcs;
-    double *outflow = inflow + n_vertices;
 
     /* _sequential_sum starts at the first term; -0.0 + x is x bitwise, so
      * starting at -0.0 adds the same. (An empty sum is then -0.0 rather
@@ -156,7 +194,7 @@ static void pgd_step(sf_state *s)
         gap_curvature += change * change;
     }
     for (int64_t k = 0; k < n_commodities; k++) {
-        scatter(s, flow_move + k * n_arcs, inflow, outflow);
+        scatter(s, flow_move + k * n_arcs);
         for (int64_t v = 0; v < n_vertices; v++) {
             const double change = (inflow[v] - outflow[v]) / scale;
             excess_curvature += change * change;
@@ -180,25 +218,22 @@ static void pgd_step(sf_state *s)
             change[a] = moved - flow[a];
             flow[a] = moved;
         }
-        scatter(s, change, inflow, outflow);
+        scatter(s, change);
         double *excess = s->excesses + k * n_vertices;
         for (int64_t v = 0; v < n_vertices; v++)
             excess[v] += inflow[v] - outflow[v];
     }
-    for (int64_t a = 0; a < n_arcs; a++) {
+    for (int64_t a = 0; a < n_arcs; a++)
         s->slacks[a] = clip(s->slacks[a] + t * slack_move[a], s->caps[a]);
-        double total = 0.0;
-        for (int64_t k = 0; k < n_commodities; k++)
-            total += s->flows[k * n_arcs + a];
-        s->totals[a] = total;
-    }
+    sum_totals(s);
 }
 
 /* out[0]: largest |drop - psi| over pairs whose flow exceeds the use
  * threshold; out[1]: largest positive drop - psi over all pairs, where
  * drop = excess[tail] - excess[head] and psi = max(total - cap, 0). A NaN
- * anywhere makes the result NaN, as the max in the Python code does. */
-void sf_residuals(const sf_state *s, double *out)
+ * anywhere makes the result NaN, as the max in the Python code does. With
+ * multipliers, also writes psi - drop for each (commodity, arc) pair. */
+static void residuals(const sf_state *s, double *out, double *multipliers)
 {
     const int64_t n_arcs = s->n_arcs;
     double used = 0.0, unused = 0.0;
@@ -206,10 +241,10 @@ void sf_residuals(const sf_state *s, double *out)
         const double *excess = s->excesses + k * s->n_vertices;
         const double *flow = s->flows + k * n_arcs;
         for (int64_t a = 0; a < n_arcs; a++) {
-            double psi = s->totals[a] - s->caps[a];
-            if (psi < 0.0)
-                psi = 0.0;
+            const double psi = max_zero(s->totals[a] - s->caps[a]);
             const double gap = (excess[s->tails[a]] - excess[s->heads[a]]) - psi;
+            if (multipliers)
+                multipliers[k * n_arcs + a] = -gap;
             if (flow[a] > s->use_threshold) {
                 const double size = fabs(gap);
                 if (size > used || size != size)
@@ -236,11 +271,30 @@ static double objective(const sf_state *s)
     return 0.5 * gaps + 0.5 * excesses;
 }
 
+/* 1 when every arc endpoint lies in [0, n_vertices), else 0. */
+int64_t sf_check(const sf_state *s)
+{
+    for (int64_t a = 0; a < s->n_arcs; a++)
+        if (s->tails[a] < 0 || s->tails[a] >= s->n_vertices || s->heads[a] < 0
+            || s->heads[a] >= s->n_vertices)
+            return 0;
+    return 1;
+}
+
+/* Derives totals and excesses from the flows and writes the row of that
+ * state to row[0 .. 2]: the objective, then the used and unused
+ * residuals. */
+void sf_derive(sf_state *s, double *row)
+{
+    derive(s);
+    row[0] = objective(s);
+    residuals(s, row + 1, 0);
+}
+
 /* Up to n iterations; iteration i writes rows[3i .. 3i+2]: the objective
- * and the residuals of sf_residuals, all of the state it leaves. Returns
- * the number of rows written, fewer than n only after the first row whose
- * larger residual is <= tol or NaN, the rows that end solvers.solve's
- * loop. */
+ * and the residuals, all of the state it leaves. Returns the number of
+ * rows written, fewer than n only after the first row whose larger
+ * residual is <= tol or NaN, the rows that end solvers.solve's loop. */
 int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
 {
     for (int64_t i = 0; i < n; i++) {
@@ -250,10 +304,35 @@ int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
         else
             sweep(s);
         row[0] = objective(s);
-        sf_residuals(s, row + 1);
+        residuals(s, row + 1, 0);
         const double used = row[1], unused = row[2];
         if (used != used || unused != unused || (used <= tol && unused <= tol))
             return i + 1;
     }
     return n;
+}
+
+/* The final state and its report, as solvers.solve's Python path: flows
+ * become max(flows, 0) and the slacks their optimum for the derived
+ * totals, in place. out holds heights (n_vertices, n_commodities),
+ * congestions (n_arcs,), implied multipliers (n_commodities, n_arcs) and
+ * the used and unused residuals, in that order. */
+void sf_report(sf_state *s, double *out)
+{
+    const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
+    const int64_t n_commodities = s->n_commodities;
+    double *heights = out;
+    double *congestions = heights + n_vertices * n_commodities;
+    double *multipliers = congestions + n_arcs;
+    for (int64_t i = 0; i < n_commodities * n_arcs; i++)
+        s->flows[i] = max_zero(s->flows[i]);
+    derive(s);
+    for (int64_t a = 0; a < n_arcs; a++) {
+        s->slacks[a] = clip(s->caps[a] - s->totals[a], s->caps[a]);
+        congestions[a] = max_zero(s->totals[a] - s->caps[a]);
+    }
+    for (int64_t k = 0; k < n_commodities; k++)
+        for (int64_t v = 0; v < n_vertices; v++)
+            heights[v * n_commodities + k] = s->excesses[k * n_vertices + v];
+    residuals(s, multipliers + n_commodities * n_arcs, multipliers);
 }

@@ -126,7 +126,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(inst, cfg)
     verdict = classify(inst, result)
     if args.trace:
-        Path(args.trace).write_text(result.trace_csv(), encoding="utf-8")
+        try:
+            Path(args.trace).write_text(result.trace_csv(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     sys.stdout.write(
         render_verdict_report(
             inst, verdict, iterations=result.iterations, converged=result.converged

@@ -94,6 +94,17 @@ class PseudoFlow:
         if not (self.slacks <= inst.capacities).all():
             raise ValueError("slacks exceed arc capacities or are NaN")
 
+    @classmethod
+    def _adopt(cls, flows: np.ndarray, slacks: np.ndarray) -> "PseudoFlow":
+        """A pseudo-flow holding ``flows`` and ``slacks`` themselves.
+
+        For float arrays the caller hands over that already meet the
+        construction checks: no copy, and no check.
+        """
+        pf = cls.__new__(cls)
+        pf.flows, pf.slacks = flows, slacks
+        return pf
+
     def copy(self) -> "PseudoFlow":
         return PseudoFlow(self.flows.copy(), self.slacks.copy())
 
@@ -193,8 +204,9 @@ def congestion(flow_total: float, capacity: float) -> float:
 
 
 def _integral_objective(congestions: np.ndarray, excesses: np.ndarray) -> float:
-    return 0.5 * float(np.sum(congestions * congestions)) + 0.5 * float(
-        np.sum(excesses * excesses)
+    # ndarray.sum is np.sum's reduction without its Python-level dispatch.
+    return 0.5 * float((congestions * congestions).sum()) + 0.5 * float(
+        (excesses * excesses).sum()
     )
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .pseudoflow import (
     _USE_FRACTION,
     _excess_matrix,
     _flow_scatter,
+    _integral_objective,
     _max_residual,
     _sequential_sum,
     _slack_objective,
@@ -106,23 +108,32 @@ class TraceRow(NamedTuple):
 
 @dataclass(eq=False)
 class SolveResult:
+    """A solve's final flow and report, and the way there.
+
+    ``rows[i]`` is the (objective, used residual, unused residual) of the
+    state after iteration i, from 0; :attr:`trace` numbers them, built on
+    first read.
+    """
+
     flow: PseudoFlow
     report: StabilityReport
     iterations: int
     converged: bool
-    trace: list[TraceRow]
+    rows: list[list[float]]
     config: SolverConfig
+
+    @cached_property
+    def trace(self) -> list[TraceRow]:
+        return [TraceRow(i, *row) for i, row in enumerate(self.rows)]
 
     @property
     def objective_trace(self) -> list[tuple[int, float]]:
-        return [(row.iteration, row.objective) for row in self.trace]
+        return [(i, row[0]) for i, row in enumerate(self.rows)]
 
     def trace_csv(self) -> str:
         lines = ["iteration,objective,used_residual,unused_residual"]
-        for row in self.trace:
-            lines.append(
-                f"{row.iteration},{row.objective!r},{row.used_residual!r},{row.unused_residual!r}"
-            )
+        for i, (objective, used, unused) in enumerate(self.rows):
+            lines.append(f"{i},{objective!r},{used!r},{unused!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -143,11 +154,11 @@ def _initial_state(
         return warm_start.flows.copy(), warm_start.slacks.copy()
     shape = (inst.commodity_count, inst.arc_count)
     if cfg.init is Init.ZERO:
-        flows = np.zeros(shape)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        max_demand = max((c.demand for c in inst.commodities), default=0.0)
-        flows = rng.uniform(0.0, max_demand, size=shape) if max_demand > 0 else np.zeros(shape)
+        # The optimal slacks of zero flows fill each arc's capacity.
+        return np.zeros(shape), inst.capacities.copy()
+    rng = np.random.default_rng(cfg.seed)
+    max_demand = max((c.demand for c in inst.commodities), default=0.0)
+    flows = rng.uniform(0.0, max_demand, size=shape) if max_demand > 0 else np.zeros(shape)
     return flows, _optimal_slacks(flows.sum(axis=0), inst.capacities)
 
 
@@ -158,21 +169,29 @@ def solve(
 ) -> SolveResult:
     """Run the method selected by ``cfg.method`` to stability.
 
-    One loop serves both methods, each supplying only its in-place step,
-    which returns a list of trace rows (objective, used residual, unused
-    residual), one per iteration it ran. It stops when both stability
-    residuals are within ``cfg.tol * inst.scale``, at once when either is
-    NaN, or after ``cfg.max_iters`` iterations; neither method has another
-    exit. ``converged`` is read off the final report, so the two always
-    agree. Flows, report and trace are in the instance's own units.
+    One loop serves both methods. Each supplies three steps: ``derive``
+    re-derives totals and excesses from the flows and returns the trace row
+    (objective, used residual, unused residual) of that state; ``step``
+    runs iterations in place and returns one row per iteration; ``finish``
+    makes the final flow and its report. The loop stops when both
+    stability residuals are within ``cfg.tol * inst.scale``, at once when
+    either is NaN, or after ``cfg.max_iters`` iterations; neither method
+    has another exit. ``converged`` is read off the final report, so the
+    two always agree. Flows, report and trace are in the instance's own
+    units. The trace rows are plain lists; :attr:`SolveResult.trace` numbers
+    them on first read.
 
-    When the compiled kernel (``_sweep.c``) can be built and loaded, one
-    call runs a segment of up to ``_kernel.SEGMENT`` iterations of either
-    method, each with its objective and residual check, and returns early
-    only on a row that stops the loop. Otherwise one iteration at a time
-    runs in :func:`_python_sweep` or :func:`_pgd_step`, and the objective
-    and residual check in numpy. Both give bitwise the same result; both
-    sum sequentially, left to right.
+    When the compiled kernel (``_sweep.c``) can be built and loaded, all
+    three steps run in C: row 0 and the re-check at a stop, segments of up
+    to ``_kernel.SEGMENT`` iterations of either method that return early
+    only on a row that stops the loop, and the final flows, slacks,
+    heights, congestions, multipliers and residuals. Only the report's
+    objective is summed in numpy, as :func:`stability_report` sums it; a
+    report with a NaN residual is :func:`stability_report`'s own.
+    Otherwise one iteration at a time runs in :func:`_python_sweep` or
+    :func:`_pgd_step`, the rest in numpy, and the report is
+    :func:`stability_report`'s. Both give bitwise the same result; both sum
+    sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
 
@@ -180,21 +199,36 @@ def solve(
     tol = cfg.tol * inst.scale
     threshold = _USE_FRACTION * inst.scale
     flows, slacks = _initial_state(inst, cfg, warm_start)
-    totals = flows.sum(axis=0)
-    excesses = _excess_matrix(inst, flows)
+    totals = np.empty(inst.arc_count)
+    excesses = np.empty((inst.commodity_count, inst.vertex_count))
     state = (flows, slacks, totals, excesses, caps, tails, heads)
-    # Each step runs at most n iterations and returns their trace rows. It
-    # returns fewer only after a row that stops the loop.
     lib = _kernel.load()
     if lib is not None:
         scale = inst.scale if cfg.method is Method.PGD else None
-        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, scale)
-        residuals = kernel.residuals
-        segment = _kernel.SEGMENT
-        step = kernel.run
+        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, scale, inst.injection)
+        derive, step, segment = kernel.derive, kernel.run, _kernel.SEGMENT
+
+        def finish() -> tuple[PseudoFlow, StabilityReport]:
+            heights, congestions, multipliers, used, unused = kernel.report()
+            # The kernel left flows >= 0 (or NaN) and slacks in [0, caps].
+            pf = PseudoFlow._adopt(flows, slacks)
+            if math.isnan(used) or math.isnan(unused):
+                # Which NaN numpy's max returns (sign, payload) depends on its
+                # vector path; take the report as stability_report takes it.
+                return pf, stability_report(inst, pf)
+            objective = _integral_objective(congestions, excesses)
+            return pf, StabilityReport(heights, congestions, used, unused, multipliers, objective)
     else:
-        def residuals() -> tuple[float, float]:
-            return _stability_residuals(flows, totals, excesses, caps, tails, heads, threshold)[:2]
+        def row() -> list[float]:
+            used, unused, _ = _stability_residuals(
+                flows, totals, excesses, caps, tails, heads, threshold
+            )
+            return [_slack_objective(totals, slacks, caps, excesses), used, unused]
+
+        def derive() -> list[float]:
+            np.sum(flows, axis=0, out=totals)
+            excesses[...] = _excess_matrix(inst, flows)
+            return row()
 
         if cfg.method is Method.PGD:
             def advance() -> None:
@@ -205,33 +239,27 @@ def solve(
 
         segment = 1  # the Python steps run one iteration
 
-        def step(tol: float, n: int) -> list[Sequence[float]]:
+        def step(tol: float, n: int) -> list[list[float]]:
             advance()
-            return [(_slack_objective(totals, slacks, caps, excesses), *residuals())]
+            return [row()]
 
-    used_res, unused_res = residuals()
-    trace = [TraceRow(0, _slack_objective(totals, slacks, caps, excesses), used_res, unused_res)]
+        def finish() -> tuple[PseudoFlow, StabilityReport]:
+            pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
+            return pf, stability_report(inst, pf)
+
+    rows = [derive()]
     iterations = 0
-    while _max_residual(used_res, unused_res) > tol and iterations < cfg.max_iters:
-        rows = step(tol, min(segment, cfg.max_iters - iterations))
+    while _max_residual(*rows[-1][1:]) > tol and iterations < cfg.max_iters:
+        rows += step(tol, min(segment, cfg.max_iters - iterations))
+        iterations = len(rows) - 1
         # Only the last row can stop the loop; the kernel returns on it.
-        *passed, (value, used_res, unused_res) = rows
-        for row in passed:
-            iterations += 1
-            trace.append(TraceRow(iterations, *row))
-        iterations += 1
-        if _max_residual(used_res, unused_res) <= tol:
+        if _max_residual(*rows[-1][1:]) <= tol:
             # Totals and excesses are updated incrementally and drift from
             # the flows; re-derive them so the stop agrees with the report.
-            np.sum(flows, axis=0, out=totals)
-            excesses[...] = _excess_matrix(inst, flows)
-            used_res, unused_res = residuals()
-        trace.append(TraceRow(iterations, value, used_res, unused_res))
+            rows[-1][1:] = derive()[1:]
 
-    # Final exact slack refresh; leaves flows (hence residuals) untouched.
-    pf = PseudoFlow(np.maximum(flows, 0.0), _optimal_slacks(flows.sum(axis=0), caps))
-    report = stability_report(inst, pf)
-    return SolveResult(pf, report, iterations, report.max_residual <= tol, trace, cfg)
+    pf, report = finish()
+    return SolveResult(pf, report, iterations, report.max_residual <= tol, rows, cfg)
 
 
 def solve_pgd(

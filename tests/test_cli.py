@@ -80,6 +80,16 @@ class TestSolve:
         objectives = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
+    def test_unwritable_trace_exit_ten(self, instance_file, tmp_path, capsys):
+        # A feasible instance, so exit 1 (INFEASIBLE) cannot pass for the error.
+        trace = tmp_path / "missing" / "trace.csv"
+        code = main(["solve", "--trace", str(trace), instance_file(FEASIBLE)])
+        captured = capsys.readouterr()
+        assert code == 10
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not trace.parent.exists()
+
     def test_usage_error_exit_ten(self, capsys):
         assert main(["solve", "--method", "nope", "-"]) == 10
 

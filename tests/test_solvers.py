@@ -1,5 +1,6 @@
 import math
 import shlex
+import struct
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from stableflow import (
     ObjectiveForm,
     PseudoFlow,
     SolverConfig,
+    StabilityReport,
     desk_scale_batch,
     generate_random_instance,
     objective,
@@ -350,6 +352,19 @@ def assert_bitwise_same(compiled, reference):
     assert compiled.converged == reference.converged
     assert compiled.trace == reference.trace
     assert compiled.trace_csv() == reference.trace_csv()
+    assert_reports_bitwise_same(compiled.report, reference.report)
+
+
+def assert_reports_bitwise_same(report, reference):
+    """Every field equal bit for bit: NaN payloads and signed zeros count."""
+    for name, value, expected in zip(StabilityReport._fields, report, reference):
+        if isinstance(expected, np.ndarray):
+            assert isinstance(value, np.ndarray), name
+            assert (value.dtype, value.shape) == (expected.dtype, expected.shape), name
+            assert value.tobytes() == expected.tobytes(), name
+        else:
+            assert type(value) is type(expected) is float, name
+            assert struct.pack("<d", value) == struct.pack("<d", expected), name
 
 
 def _identity_cases():
@@ -447,7 +462,6 @@ class TestCompiledKernel:
                 flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5
             )[:2]
             assert (used, unused) == expected
-            assert kernel.residuals() == expected
         # One call of three sweeps gives the same rows and state.
         segment = _kernel.Kernel(lib, *start, caps, tails, heads, 0.5, solvers._OMEGA)
         assert segment.run(NEVER_STABLE, 3) == rows
@@ -495,6 +509,73 @@ def _assert_pgd_steps_match(inst, flows, slacks, steps=3):
         assert objective == _slack_objective(reference[2], reference[1], caps, reference[3])
         residuals = _stability_residuals(*reference[:1], *reference[2:], caps, tails, heads, 0.5)
         assert (used, unused) == residuals[:2]
+
+
+# The 1e308 instance: five commodities overflow the arc totals in the first
+# iteration, and a residual turns NaN at the second.
+OVERFLOW = Instance(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, 1e308)] * 5)
+# A zero-demand commodity beside a routed one; warm starts below hold -0.0.
+SIGNED_ZERO = Instance(3, [(0, 1, 2.0), (1, 2, 1.0)], [(0, 2, 2.0), (0, 2, 0.0)])
+
+
+def _report_cases():
+    desk = desk_scale_batch(6, seed=23)[1]
+    warm = PseudoFlow(np.array([[0.0, 1.0], [-0.0, -0.0]]), np.array([2.0, -0.0]))
+    cases = [
+        ("tol", desk, SolverConfig(), None),
+        ("max-iters", desk, SolverConfig(tol=1e-300, max_iters=70), None),
+        ("nan-row", OVERFLOW, SolverConfig(max_iters=50), None),
+        ("warm-signed-zero", SIGNED_ZERO, SolverConfig(), warm),
+        ("warm-signed-zero-max-iters", SIGNED_ZERO, SolverConfig(max_iters=1), warm),
+    ]
+    return [
+        pytest.param(inst, replace(cfg, method=method), warm_start, id=f"{method.value}-{name}")
+        for name, inst, cfg, warm_start in cases
+        for method in Method
+    ]
+
+
+class TestFinalReport:
+    @pytest.mark.parametrize("inst,cfg,warm_start", _report_cases())
+    def test_report_is_stability_report_of_flow(self, inst, cfg, warm_start):
+        with np.errstate(all="ignore"):
+            compiled = solve(inst, cfg, warm_start=warm_start)
+            python = _python_only_solve(inst, cfg, warm_start=warm_start)
+            for result in (compiled, python):
+                assert_reports_bitwise_same(result.report, stability_report(inst, result.flow))
+        assert_reports_bitwise_same(compiled.report, python.report)
+        # Not assert_bitwise_same: a NaN row is unequal to itself.
+        assert compiled.trace_csv() == python.trace_csv()
+        assert compiled.flow.flows.tobytes() == python.flow.flows.tobytes()
+        assert compiled.flow.slacks.tobytes() == python.flow.slacks.tobytes()
+        last = compiled.trace[-1]
+        if cfg.tol == 1e-300:
+            assert compiled.iterations == cfg.max_iters and not compiled.converged
+        elif inst is OVERFLOW:
+            assert math.isnan(last.used_residual) or math.isnan(last.unused_residual)
+            assert not compiled.converged
+        elif cfg.max_iters > 1:
+            assert compiled.converged
+        if warm_start is not None:
+            # The warm start's -0.0 flows come out +0.0, as numpy's maximum
+            # makes them; the multipliers keep numpy's -0.0.
+            assert not np.signbit(compiled.flow.flows).any()
+            assert np.signbit(compiled.report.implied_multipliers).any()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_stopping_row_is_the_reports(self, method, compiled):
+        # The row that stops the loop is re-derived from the flows, so its
+        # residuals are the report's, bit for bit; the incrementally updated
+        # totals and excesses drift from them.
+        cfg = SolverConfig(method=method)
+        for inst in desk_scale_batch(30, seed=5) + [_tight_instance(3)]:
+            result = solve(inst, cfg) if compiled else _python_only_solve(inst, cfg)
+            assert result.converged
+            last = result.trace[-1]
+            report = result.report
+            assert last.used_residual == report.used_arc_residual
+            assert last.unused_residual == report.unused_arc_residual
 
 
 def _segment_cases():
@@ -685,6 +766,47 @@ class TestKernelArrayGuard:
         arrays[name] = bad(arrays[name])
         with pytest.raises(ValueError):
             _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+
+    def test_zero_arcs_bind(self):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays(n_arcs=0)
+        injection = np.zeros_like(arrays["excesses"])
+        injection[:, 0], injection[:, 1] = 1.0, -1.0
+        kernel = _kernel.Kernel(
+            lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA, injection=injection
+        )
+        assert kernel.run(1e-8, 1) == [[0.0, 0.0, 0.0]]
+        # Three commodities each hold +1 and -1 excess: objective 3.
+        assert kernel.derive() == [3.0, 0.0, 0.0]
+        assert arrays["excesses"].tobytes() == injection.tobytes()
+
+    @pytest.mark.parametrize("name", ["tails", "heads"])
+    def test_endpoint_bounds_checked_in_kernel(self, name):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays(n_vertices=4)
+        arrays[name][-1] = 3
+        _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+        arrays[name][-1] = 4
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            _kernel.Kernel(lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA)
+
+    @pytest.mark.parametrize(
+        "bad", [lambda a: a[:, :-1], lambda a: a.astype(np.float32), lambda a: a.tolist()]
+    )
+    def test_bad_injection_rejected(self, bad):
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        arrays = self.arrays()
+        injection = bad(np.zeros_like(arrays["excesses"]))
+        with pytest.raises(ValueError, match="injection"):
+            _kernel.Kernel(
+                lib, **arrays, use_threshold=0.0, omega=solvers._OMEGA, injection=injection
+            )
 
     @pytest.mark.parametrize("n", [0, -1, _kernel.SEGMENT + 1])
     def test_run_length_outside_buffer_rejected(self, n):
