@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import platform
 import sys
 import zlib
 
 import numpy as np
+
+from .model import Instance
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_sweep.c")
@@ -105,8 +108,6 @@ def load() -> ctypes.CDLL | None:
             _build(path)
         lib = ctypes.CDLL(path)
         state = ctypes.POINTER(_State)
-        lib.sf_check.argtypes = [state]
-        lib.sf_check.restype = ctypes.c_int64
         lib.sf_derive.argtypes = [state, ctypes.c_void_p]
         lib.sf_derive.restype = None
         lib.sf_run.argtypes = [state, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
@@ -118,105 +119,81 @@ def load() -> ctypes.CDLL | None:
     return lib
 
 
-def _require(
-    array: object, dtype: type, shape: tuple[int, ...], name: str, writable: bool
-) -> None:
-    if not (
-        isinstance(array, np.ndarray)
-        and array.dtype == dtype
-        and array.shape == shape
-        and array.flags.c_contiguous
-        and array.flags.aligned
-        and (array.flags.writeable or not writable)
-    ):
-        raise ValueError(
-            f"{name} must be a C-contiguous{' writable' if writable else ''} "
-            f"{np.dtype(dtype).name} array of shape {shape}"
-        )
-
-
 class Kernel:
-    """The compiled per-solve work of :func:`solvers.solve`, bound to its arrays.
+    """The compiled per-solve work of :func:`solvers.solve` on ``inst``.
 
-    Every array is checked once here, the arc endpoints in C, and its
-    pointer stored, so a call converts nothing. ``flows``, ``slacks``,
-    ``totals`` and ``excesses`` are updated in place and must outlive this
-    object, which keeps references to them. Each iteration is an
-    over-relaxed sweep with factor ``omega``, or, given ``scale`` (the
-    instance's power-of-two scale, the unit in which the step reads slope
-    and curvature), a PGD step with the exact step length. ``injection``
-    is the (commodity, vertex) demand injection that :meth:`derive` and
-    :meth:`report` add to the flows' excesses; without it there is none.
-
-    One buffer, allocated here, holds the trace rows of a segment, the
-    report and the work arrays.
+    It owns the solve's state: ``flows``, ``slacks``, ``totals`` and
+    ``excesses`` are views of one buffer, which also holds a segment's trace
+    rows, the report and the work arrays. The starting flows and slacks are
+    copied in, and :meth:`derive` fills the rest. The instance's arrays are
+    read in place and not checked again: the instance validated them, and a
+    warm start has passed ``PseudoFlow.validate``. Each iteration is a PGD
+    step with the exact step length when ``pgd`` is true, slope and curvature
+    read in units of ``inst.scale``; otherwise an over-relaxed sweep with
+    factor ``omega``.
     """
 
     def __init__(
         self,
         lib: ctypes.CDLL,
+        inst: Instance,
         flows: np.ndarray,
         slacks: np.ndarray,
-        totals: np.ndarray,
-        excesses: np.ndarray,
-        caps: np.ndarray,
-        tails: np.ndarray,
-        heads: np.ndarray,
+        pgd: bool,
         use_threshold: float,
         omega: float,
-        scale: float | None = None,
-        injection: np.ndarray | None = None,
     ) -> None:
-        if not (isinstance(flows, np.ndarray) and flows.ndim == 2):
-            raise ValueError("flows must be a 2-d (commodity, arc) array")
-        if not (isinstance(excesses, np.ndarray) and excesses.ndim == 2):
-            raise ValueError("excesses must be a 2-d (commodity, vertex) array")
-        n_commodities, n_arcs = flows.shape
-        n_vertices = excesses.shape[1]
-        _require(flows, np.float64, (n_commodities, n_arcs), "flows", True)
-        _require(slacks, np.float64, (n_arcs,), "slacks", True)
-        _require(totals, np.float64, (n_arcs,), "totals", True)
-        _require(excesses, np.float64, (n_commodities, n_vertices), "excesses", True)
-        _require(caps, np.float64, (n_arcs,), "caps", False)
-        _require(tails, np.int64, (n_arcs,), "tails", False)
-        _require(heads, np.int64, (n_arcs,), "heads", False)
-        if injection is not None:
-            _require(injection, np.float64, (n_commodities, n_vertices), "injection", False)
-        # Trace rows; report (heights, congestions, multipliers, residuals);
-        # work: inflow and outflow of one commodity, then for PGD the flow
-        # moves, the gaps and the slack moves.
-        self._shape = (n_vertices, n_arcs, n_commodities)
-        rows = 3 * SEGMENT
-        report = n_vertices * n_commodities + n_arcs + flows.size + 2
-        work = 2 * n_vertices + (flows.size + 2 * n_arcs if scale is not None else 0)
-        self._buffer = np.empty(rows + report + work)
+        n_vertices, n_arcs = inst.vertex_count, inst.arc_count
+        n_commodities = inst.commodity_count
+        size = n_commodities * n_arcs
+        # The buffer's parts, in order: flows, slacks, totals and excesses;
+        # the trace rows; the report (heights, congestions, multipliers and
+        # both residuals); work: inflow and outflow of one commodity, then for
+        # PGD the flow moves, the gaps and the slack moves.
+        lengths = (
+            size, n_arcs, n_arcs, n_commodities * n_vertices,
+            3 * SEGMENT,
+            n_vertices * n_commodities + n_arcs + size + 2,
+            2 * n_vertices + (size + 2 * n_arcs if pgd else 0),
+        )
+        offsets = list(itertools.accumulate(lengths, initial=0))
+        self._buffer = np.empty(offsets[-1])
+        flows_view, self.slacks, self.totals, excesses, rows, self._report, _ = (
+            self._buffer[start:end] for start, end in zip(offsets, offsets[1:])
+        )
+        self.flows = flows_view.reshape(n_commodities, n_arcs)
+        self.excesses = excesses.reshape(n_commodities, n_vertices)
+        self._rows = rows.reshape(SEGMENT, 3)
+        self.flows[...] = flows
+        self.slacks[...] = slacks
         base = self._buffer.ctypes.data
-        self._arrays = (flows, slacks, totals, excesses, caps, tails, heads, injection)
+        pointers = [base + 8 * offset for offset in offsets]
+        self._rows_ptr, self._report_ptr = pointers[4:6]
         self._state = _State(
-            *(None if array is None else array.ctypes.data for array in self._arrays),
-            base + 8 * (rows + report),
+            *pointers[:4],
+            inst.capacities.ctypes.data,
+            inst.tails.ctypes.data,
+            inst.heads.ctypes.data,
+            inst.injection.ctypes.data,
+            pointers[6],
             n_vertices,
             n_arcs,
             n_commodities,
-            scale is not None,
+            pgd,
             use_threshold,
             omega,
-            scale or 0.0,
+            inst.scale,
         )
         self._ref = ctypes.byref(self._state)
-        if not lib.sf_check(self._ref):
-            raise ValueError(f"arc endpoints must lie in [0, {n_vertices})")
-        self._rows = self._buffer[:rows].reshape(SEGMENT, 3)
-        self._rows_ptr = base
-        self._report = self._buffer[rows : rows + report]
-        self._report_ptr = base + 8 * rows
+        self._inst = inst  # holds the arrays the state reads in place
         self._lib = lib
 
     def derive(self) -> list[float]:
-        """Re-derives totals and excesses from the flows, in place.
+        """Derives totals and excesses from the flows, in place.
 
         Returns the (slack-form objective, used residual, unused residual)
-        row of the derived state.
+        row of the derived state. Call it before the first :meth:`run`: the
+        buffer starts uninitialised.
         """
         self._lib.sf_derive(self._ref, self._rows_ptr)
         return self._rows[0].tolist()
@@ -237,14 +214,16 @@ class Kernel:
     def report(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
         """Makes the state final and reports on it, as ``stability_report`` does.
 
-        In place, flows become ``max(flows, 0)``, totals and excesses are
-        re-derived and each slack is set to its optimum. Returns heights
-        (vertex, commodity), congestions, implied multipliers (commodity,
-        arc), and the used and unused residuals. The arrays are views of
-        this kernel's buffer, which the next call overwrites.
+        In place, ``flows`` become ``max(flows, 0)``, ``totals`` and
+        ``excesses`` are re-derived and each slack is set to its optimum.
+        Returns heights (vertex, commodity), congestions, implied
+        multipliers (commodity, arc), and the used and unused residuals. The
+        arrays are views of this kernel's buffer, which the next call
+        overwrites.
         """
         self._lib.sf_report(self._ref, self._report_ptr)
-        n_vertices, n_arcs, n_commodities = self._shape
+        n_commodities, n_vertices = self.excesses.shape
+        n_arcs = self.slacks.size
         congestions_at = n_vertices * n_commodities
         multipliers_at = congestions_at + n_arcs
         used, unused = self._report[-2:].tolist()

@@ -1,7 +1,6 @@
 /* The per-solve work of both solvers of the slack-form objective, for
  * solvers.solve:
  *
- * - sf_check: the arc endpoints lie in [0, n_vertices), checked at bind;
  * - sf_derive: totals and excesses derived from the flows, and the trace
  *   row of that state; row 0 and the re-check at a stop;
  * - sf_run: a segment of iterations, over-relaxed Gauss-Seidel sweeps
@@ -11,6 +10,12 @@
  *   is NaN. Neither method has a stall exit;
  * - sf_report: the final flows and slacks, and the report on them:
  *   heights, congestions, implied multipliers and both residuals.
+ *
+ * The flows, slacks, totals, excesses and work arrays are views of the one
+ * buffer of _kernel.Kernel; the arcs, capacities and demand injection are
+ * the Instance's own read-only arrays. The Instance checked its arcs when
+ * it was built, and a warm start passed PseudoFlow.validate, so nothing
+ * here checks them again.
  *
  * Each sweep moves a flow to max(0, x - omega * (g/3)). omega is set by
  * the caller (solvers._OMEGA); with omega = 1.0 the product is exactly
@@ -42,9 +47,9 @@ typedef struct {
     double *totals;          /* (n_arcs,) flow summed over commodities */
     double *excesses;        /* (n_commodities, n_vertices) */
     const double *caps;      /* (n_arcs,) */
-    const int64_t *tails;    /* (n_arcs,) in [0, n_vertices), by sf_check */
-    const int64_t *heads;    /* (n_arcs,) in [0, n_vertices), by sf_check */
-    const double *injection; /* (n_commodities, n_vertices) demand injection; NULL: none */
+    const int64_t *tails;    /* (n_arcs,) in [0, n_vertices) */
+    const int64_t *heads;    /* (n_arcs,) in [0, n_vertices) */
+    const double *injection; /* (n_commodities, n_vertices) demand injection */
     double *work;            /* inflow and outflow (n_vertices each); PGD adds more, see pgd_step */
     int64_t n_vertices;
     int64_t n_arcs;
@@ -52,7 +57,7 @@ typedef struct {
     int64_t pgd;             /* nonzero: PGD steps; zero: sweeps */
     double use_threshold;
     double omega;            /* over-relaxation factor of the flow step, in (0, 2) */
-    double scale;            /* PGD only: Instance.scale, a power of two */
+    double scale;            /* Instance.scale, a power of two; PGD's unit */
 } sf_state;
 
 /* One sweep: arcs ascending, the arc's slack first, then each commodity's
@@ -142,10 +147,10 @@ static void derive(sf_state *s)
     sum_totals(s);
     for (int64_t k = 0; k < s->n_commodities; k++) {
         double *excess = s->excesses + k * n_vertices;
-        const double *injection = s->injection ? s->injection + k * n_vertices : 0;
+        const double *injection = s->injection + k * n_vertices;
         scatter(s, s->flows + k * s->n_arcs);
         for (int64_t v = 0; v < n_vertices; v++)
-            excess[v] = (injection ? injection[v] : 0.0) + (inflow[v] - outflow[v]);
+            excess[v] = injection[v] + (inflow[v] - outflow[v]);
     }
 }
 
@@ -269,16 +274,6 @@ static double objective(const sf_state *s)
     for (int64_t i = 0; i < s->n_commodities * s->n_vertices; i++)
         excesses += s->excesses[i] * s->excesses[i];
     return 0.5 * gaps + 0.5 * excesses;
-}
-
-/* 1 when every arc endpoint lies in [0, n_vertices), else 0. */
-int64_t sf_check(const sf_state *s)
-{
-    for (int64_t a = 0; a < s->n_arcs; a++)
-        if (s->tails[a] < 0 || s->tails[a] >= s->n_vertices || s->heads[a] < 0
-            || s->heads[a] >= s->n_vertices)
-            return 0;
-    return 1;
 }
 
 /* Derives totals and excesses from the flows and writes the row of that

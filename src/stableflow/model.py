@@ -17,6 +17,7 @@ sink are rejected as well.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -84,15 +85,21 @@ class Instance:
     commodities: tuple[Commodity, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_count", int(self.vertex_count))
-        object.__setattr__(
-            self, "arcs", tuple(Arc(int(t), int(h), float(c)) for t, h, c in self.arcs)
+        try:
+            vertex_count = operator.index(self.vertex_count)
+        except TypeError:
+            what = f"vertex_count ({self.vertex_count!r})"
+            raise ValidationError(f"{what} must be of integer type") from None
+        arcs = tuple(
+            Arc(*_vertex_ids("arc", i, t, h), float(c)) for i, (t, h, c) in enumerate(self.arcs)
         )
-        object.__setattr__(
-            self,
-            "commodities",
-            tuple(Commodity(int(s), int(t), float(d)) for s, t, d in self.commodities),
+        commodities = tuple(
+            Commodity(*_vertex_ids("commodity", i, s, t), float(d))
+            for i, (s, t, d) in enumerate(self.commodities)
         )
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "commodities", commodities)
         self._validate()
 
     def _validate(self) -> None:
@@ -183,6 +190,17 @@ class Instance:
             _read_only((base + self.heads).ravel()),
             _read_only((base + self.tails).ravel()),
         )
+
+
+def _vertex_ids(kind: str, idx: int, u: object, v: object) -> tuple[int, int]:
+    """The endpoints of arc or commodity ``idx`` as ints."""
+    # operator.index takes numpy integers and refuses what int() would
+    # truncate or parse, such as 1.9 or "3".
+    try:
+        return operator.index(u), operator.index(v)
+    except TypeError:
+        what = f"{kind} {idx} endpoints ({u!r}, {v!r})"
+        raise ValidationError(f"{what} must be of integer type", **{kind: idx}) from None
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -89,10 +89,14 @@ class PseudoFlow:
         expected = (inst.commodity_count, inst.arc_count)
         if self.flows.shape != expected:
             raise ValueError(f"flows shape {self.flows.shape} does not match {expected}")
+        if self.slacks.shape != expected[1:]:
+            raise ValueError(f"slacks shape {self.slacks.shape} does not match {expected[1:]}")
         if not np.isfinite(self.flows).all():
             raise ValueError("flows must be finite")
         if not (self.slacks <= inst.capacities).all():
             raise ValueError("slacks exceed arc capacities or are NaN")
+        if not (self.slacks >= 0).all():
+            raise ValueError("slacks must be nonnegative")
 
     @classmethod
     def _adopt(cls, flows: np.ndarray, slacks: np.ndarray) -> "PseudoFlow":

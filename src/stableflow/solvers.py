@@ -93,9 +93,13 @@ class SolverConfig:
     init: Init = Init.ZERO
 
     def __post_init__(self) -> None:
+        if not isinstance(self.method, Method):
+            raise ValueError(f"method must be a Method, got {self.method!r}")
+        if not isinstance(self.init, Init):
+            raise ValueError(f"init must be an Init, got {self.init!r}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+        if not (type(self.max_iters) is int and self.max_iters >= 1):  # bool is not int
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
 
 
@@ -126,10 +130,6 @@ class SolveResult:
     def trace(self) -> list[TraceRow]:
         return [TraceRow(i, *row) for i, row in enumerate(self.rows)]
 
-    @property
-    def objective_trace(self) -> list[tuple[int, float]]:
-        return [(i, row[0]) for i, row in enumerate(self.rows)]
-
     def trace_csv(self) -> str:
         lines = ["iteration,objective,used_residual,unused_residual"]
         for i, (objective, used, unused) in enumerate(self.rows):
@@ -149,13 +149,14 @@ def _optimal_slacks(totals: np.ndarray, caps: np.ndarray) -> np.ndarray:
 def _initial_state(
     inst: Instance, cfg: SolverConfig, warm_start: PseudoFlow | None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The starting flows and slacks, not copied: the caller copies them once."""
     if warm_start is not None:
         warm_start.validate(inst)
-        return warm_start.flows.copy(), warm_start.slacks.copy()
+        return warm_start.flows, warm_start.slacks
     shape = (inst.commodity_count, inst.arc_count)
     if cfg.init is Init.ZERO:
         # The optimal slacks of zero flows fill each arc's capacity.
-        return np.zeros(shape), inst.capacities.copy()
+        return np.zeros(shape), inst.capacities
     rng = np.random.default_rng(cfg.seed)
     max_demand = max((c.demand for c in inst.commodities), default=0.0)
     flows = rng.uniform(0.0, max_demand, size=shape) if max_demand > 0 else np.zeros(shape)
@@ -182,43 +183,45 @@ def solve(
     them on first read.
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, all
-    three steps run in C: row 0 and the re-check at a stop, segments of up
-    to ``_kernel.SEGMENT`` iterations of either method that return early
-    only on a row that stops the loop, and the final flows, slacks,
-    heights, congestions, multipliers and residuals. Only the report's
-    objective is summed in numpy, as :func:`stability_report` sums it; a
-    report with a NaN residual is :func:`stability_report`'s own.
-    Otherwise one iteration at a time runs in :func:`_python_sweep` or
-    :func:`_pgd_step`, the rest in numpy, and the report is
-    :func:`stability_report`'s. Both give bitwise the same result; both sum
+    three steps run in C on the state that :class:`_kernel.Kernel` holds in
+    its one buffer, the result's arrays included: row 0 and the re-check at
+    a stop, segments of up to ``_kernel.SEGMENT`` iterations of either
+    method that return early only on a row that stops the loop, and the
+    final flows, slacks, heights, congestions, multipliers and residuals.
+    Only the report's objective is summed in numpy, as
+    :func:`stability_report` sums it; a report with a NaN residual is
+    :func:`stability_report`'s own. Otherwise one iteration at a time runs
+    in :func:`_python_sweep` or :func:`_pgd_step`, the rest in numpy, and
+    the report is :func:`stability_report`'s. Either path copies the
+    starting state once. Both give bitwise the same result; both sum
     sequentially, left to right.
     """
     cfg = cfg or SolverConfig()
 
-    tails, heads, caps = inst.tails, inst.heads, inst.capacities
     tol = cfg.tol * inst.scale
     threshold = _USE_FRACTION * inst.scale
-    flows, slacks = _initial_state(inst, cfg, warm_start)
-    totals = np.empty(inst.arc_count)
-    excesses = np.empty((inst.commodity_count, inst.vertex_count))
-    state = (flows, slacks, totals, excesses, caps, tails, heads)
+    start = _initial_state(inst, cfg, warm_start)
     lib = _kernel.load()
     if lib is not None:
-        scale = inst.scale if cfg.method is Method.PGD else None
-        kernel = _kernel.Kernel(lib, *state, threshold, _OMEGA, scale, inst.injection)
+        kernel = _kernel.Kernel(lib, inst, *start, cfg.method is Method.PGD, threshold, _OMEGA)
         derive, step, segment = kernel.derive, kernel.run, _kernel.SEGMENT
 
         def finish() -> tuple[PseudoFlow, StabilityReport]:
             heights, congestions, multipliers, used, unused = kernel.report()
             # The kernel left flows >= 0 (or NaN) and slacks in [0, caps].
-            pf = PseudoFlow._adopt(flows, slacks)
+            pf = PseudoFlow._adopt(kernel.flows, kernel.slacks)
             if math.isnan(used) or math.isnan(unused):
                 # Which NaN numpy's max returns (sign, payload) depends on its
                 # vector path; take the report as stability_report takes it.
                 return pf, stability_report(inst, pf)
-            objective = _integral_objective(congestions, excesses)
+            objective = _integral_objective(congestions, kernel.excesses)
             return pf, StabilityReport(heights, congestions, used, unused, multipliers, objective)
     else:
+        tails, heads, caps = inst.tails, inst.heads, inst.capacities
+        flows, slacks = (np.array(array, dtype=float) for array in start)
+        totals = np.empty(inst.arc_count)
+        excesses = np.empty((inst.commodity_count, inst.vertex_count))
+
         def row() -> list[float]:
             used, unused, _ = _stability_residuals(
                 flows, totals, excesses, caps, tails, heads, threshold
@@ -235,7 +238,7 @@ def solve(
                 _pgd_step(inst, flows, slacks, totals, excesses)
         else:
             def advance() -> None:
-                _python_sweep(*state)
+                _python_sweep(flows, slacks, totals, excesses, caps, tails, heads)
 
         segment = 1  # the Python steps run one iteration
 

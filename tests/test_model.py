@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,26 @@ class TestInstanceValidation:
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             Instance(2, [(0, 2, 1.0)], [])
+
+    @pytest.mark.parametrize(
+        "args,arc,commodity",
+        [
+            ((2.7, [(0, 1, 1.0)], []), None, None),
+            (("3", [], []), None, None),
+            ((3, [(0, 1, 1.0), (0, 1.9, 1.0)], [(0, 1, 1.0)]), 1, None),
+            ((3, [(0, 1, 1.0)], [(0, "2", 1.0)]), None, 0),
+        ],
+    )
+    def test_non_integer_ids_rejected(self, args, arc, commodity):
+        # int() would truncate 2.7 and 1.9 and parse "3".
+        with pytest.raises(ValidationError, match="integer") as raised:
+            Instance(*args)
+        assert (raised.value.arc, raised.value.commodity) == (arc, commodity)
+
+    def test_numpy_integer_ids_accepted(self):
+        inst = Instance(np.int64(3), [(np.int64(0), np.int32(2), 1.0)], [(np.int64(0), 1, 1.0)])
+        assert inst == Instance(3, [(0, 2, 1.0)], [(0, 1, 1.0)])
+        assert type(inst.vertex_count) is int and type(inst.arcs[0].head) is int
 
     def test_negative_demand(self):
         with pytest.raises(ValidationError, match="demand"):

@@ -164,6 +164,13 @@ class TestPseudoFlow:
             PseudoFlow(np.zeros((1, 1)), np.array([1.5])).validate(inst)
         with pytest.raises(ValueError, match="shape"):
             PseudoFlow(np.zeros((2, 1)), np.zeros(1)).validate(inst)
+        # Construction checks the slacks, but the field can be reassigned;
+        # a 0-d array would broadcast against the capacities.
+        replaced = PseudoFlow(np.zeros((1, 1)), np.zeros(1))
+        for slacks, message in [(np.array(0.5), "slacks shape"), (np.array([-0.5]), "nonneg")]:
+            replaced.slacks = slacks
+            with pytest.raises(ValueError, match=message):
+                replaced.validate(inst)
 
     @pytest.mark.parametrize("solver", [solve_coordinate, solve_pgd])
     @pytest.mark.parametrize(
