@@ -49,6 +49,7 @@ class _State(ctypes.Structure):
         ("heads", ctypes.c_void_p),
         ("injection", ctypes.c_void_p),
         ("work", ctypes.c_void_p),
+        ("momentum", ctypes.c_void_p),
         ("n_vertices", ctypes.c_int64),
         ("n_arcs", ctypes.c_int64),
         ("n_commodities", ctypes.c_int64),
@@ -56,6 +57,7 @@ class _State(ctypes.Structure):
         ("use_threshold", ctypes.c_double),
         ("omega", ctypes.c_double),
         ("scale", ctypes.c_double),
+        ("theta", ctypes.c_double),
     ]
 
 
@@ -130,7 +132,10 @@ class Kernel:
     warm start has passed ``PseudoFlow.validate``. Each iteration is a PGD
     step with the exact step length when ``pgd`` is true, slope and curvature
     read in units of ``inst.scale``; otherwise an over-relaxed sweep with
-    factor ``omega``.
+    factor ``omega``. Once ``gate`` iterations have run, each iteration
+    also tries an extrapolated point (``_sweep.c:extrapolate``); the arrays
+    that needs are allocated then, so a solve that stops sooner never
+    holds them.
     """
 
     def __init__(
@@ -142,6 +147,7 @@ class Kernel:
         pgd: bool,
         use_threshold: float,
         omega: float,
+        gate: int,
     ) -> None:
         n_vertices, n_arcs = inst.vertex_count, inst.arc_count
         n_commodities = inst.commodity_count
@@ -176,6 +182,7 @@ class Kernel:
             inst.heads.ctypes.data,
             inst.injection.ctypes.data,
             pointers[6],
+            None,
             n_vertices,
             n_arcs,
             n_commodities,
@@ -183,10 +190,14 @@ class Kernel:
             use_threshold,
             omega,
             inst.scale,
+            1.0,
         )
         self._ref = ctypes.byref(self._state)
         self._inst = inst  # holds the arrays the state reads in place
         self._lib = lib
+        self._gate = gate
+        self._iterations = 0
+        self._momentum: np.ndarray | None = None
 
     def derive(self) -> list[float]:
         """Derives totals and excesses from the flows, in place.
@@ -202,14 +213,30 @@ class Kernel:
         """Up to ``n`` iterations, in place; 1 <= n <= SEGMENT.
 
         Returns one (slack-form objective, used residual, unused residual)
-        row per iteration run, each of the state that iteration leaves. The
-        run stops early only after the first row whose larger residual is
-        <= ``tol`` or NaN.
+        row per iteration run, each of the state that iteration keeps. The
+        run stops early after the first row whose larger residual is <=
+        ``tol`` or NaN, and at the gate when the momentum arrays are not
+        allocated yet; the next call allocates them.
         """
         if not 1 <= n <= len(self._rows):
             raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")
+        if self._momentum is None and self._iterations + n > self._gate:
+            if self._iterations < self._gate:
+                n = self._gate - self._iterations
+            else:
+                self._start_momentum()
         done = self._lib.sf_run(self._ref, tol, n, self._rows_ptr)
+        self._iterations += done
         return self._rows[:done].tolist()
+
+    def _start_momentum(self) -> None:
+        """Allocates the extrapolation's arrays: the last result's flows,
+        seeded with the current ones, then room for a copy of the slacks,
+        totals and excesses."""
+        size = self.flows.size
+        self._momentum = np.empty(size + 2 * self.slacks.size + self.excesses.size)
+        self._momentum[:size] = self.flows.ravel()
+        self._state.momentum = self._momentum.ctypes.data
 
     def report(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
         """Makes the state final and reports on it, as ``stability_report`` does.

@@ -5,9 +5,10 @@
  *   row of that state; row 0 and the re-check at a stop;
  * - sf_run: a segment of iterations, over-relaxed Gauss-Seidel sweeps
  *   (coordinate descent) or projected gradient steps with the exact step
- *   (PGD), each with its trace row (the objective and the stability
- *   residuals); it stops early only once the state is stable or a residual
- *   is NaN. Neither method has a stall exit;
+ *   (PGD), each followed past the gate by an extrapolation that is kept or
+ *   restarted, and each with its trace row (the objective and the
+ *   stability residuals) of the kept state; it stops early only once the
+ *   state is stable or a residual is NaN. Neither method has a stall exit;
  * - sf_report: the final flows and slacks, and the report on them:
  *   heights, congestions, implied multipliers and both residuals.
  *
@@ -29,13 +30,22 @@
  * then read 1 at every step.
  *
  * Compiled and loaded by _kernel.py. The Python code in solvers
- * (_python_sweep, _pgd_step, and the numpy derivation and report) is the
- * reference and the fallback: every floating-point expression below is the
- * one there or in pseudoflow (_excess_matrix, _flow_scatter,
- * _slack_objective, _stability_residuals, stability_report), evaluated in
+ * (_python_sweep, _pgd_step, _extrapolate, and the numpy derivation and
+ * report) is the reference and the fallback: every floating-point
+ * expression below is the one there or in pseudoflow (_excess_matrix,
+ * _flow_scatter, _slack_objective, _scaled_objective, _stability_residuals,
+ * stability_report), evaluated in
  * the same order, and the build turns off contraction into fused
  * multiply-adds, so results are bitwise equal to the Python code. Every
  * sum over an array is sequential, left to right in C order.
+ *
+ * The gate: _kernel.Kernel sets momentum once the solve has run
+ * solvers._MOMENTUM_GATE iterations, and allocates its arrays then, so a
+ * solve that stops sooner runs plain iterations and never holds them. From
+ * then on each iteration's result is extrapolated with FISTA's sequence
+ * and kept only if its objective, read in units of the scale, is no larger;
+ * otherwise the momentum restarts (see extrapolate, and solvers._extrapolate
+ * for the reference).
  */
 #include <math.h>
 #include <stdint.h>
@@ -51,13 +61,15 @@ typedef struct {
     const int64_t *heads;    /* (n_arcs,) in [0, n_vertices) */
     const double *injection; /* (n_commodities, n_vertices) demand injection */
     double *work;            /* inflow and outflow (n_vertices each); PGD adds more, see pgd_step */
+    double *momentum;        /* NULL before the gate; then see extrapolate */
     int64_t n_vertices;
     int64_t n_arcs;
     int64_t n_commodities;
     int64_t pgd;             /* nonzero: PGD steps; zero: sweeps */
     double use_threshold;
     double omega;            /* over-relaxation factor of the flow step, in (0, 2) */
-    double scale;            /* Instance.scale, a power of two; PGD's unit */
+    double scale;            /* Instance.scale, a power of two; PGD's and extrapolate's unit */
+    double theta;            /* FISTA's theta for the next extrapolation; 1 after a restart */
 } sf_state;
 
 /* One sweep: arcs ascending, the arc's slack first, then each commodity's
@@ -276,6 +288,72 @@ static double objective(const sf_state *s)
     return 0.5 * gaps + 0.5 * excesses;
 }
 
+/* The objective in units of the scale, 0.5 * sum((gap/s)^2) +
+ * 0.5 * sum((excess/s)^2); the scale is a power of two, so dividing by it
+ * is exact. Raw, the objective overflows to inf near demands of 1e200, and
+ * inf <= inf would keep every extrapolation. */
+static double scaled_objective(const sf_state *s)
+{
+    double gaps = 0.0, excesses = 0.0;
+    for (int64_t a = 0; a < s->n_arcs; a++) {
+        const double gap = (s->totals[a] + s->slacks[a] - s->caps[a]) / s->scale;
+        gaps += gap * gap;
+    }
+    for (int64_t i = 0; i < s->n_commodities * s->n_vertices; i++) {
+        const double excess = s->excesses[i] / s->scale;
+        excesses += excess * excess;
+    }
+    return 0.5 * gaps + 0.5 * excesses;
+}
+
+/* Past the gate, after each iteration: the iteration's result x+ is
+ * extrapolated to y = max(0, x+ + beta * (x+ - x_prev)), x_prev the last
+ * iteration's result, with FISTA's beta = (theta - 1) / theta' and
+ * theta' = (1 + sqrt(1 + 4 theta^2)) / 2 (Beck-Teboulle 2009). y's slacks
+ * are set to their optimum for its totals, and its totals and excesses are
+ * derived. y is kept, and theta becomes theta', if its scaled objective is
+ * <= x+'s; otherwise x+ is restored and theta reset to 1 (adaptive
+ * restart, O'Donoghue-Candes 2015). momentum holds x_prev's flows, then a
+ * copy of x+'s slacks, totals and excesses; once y is made, x_prev's
+ * flows are x+'s. As solvers._extrapolate. */
+static void extrapolate(sf_state *s)
+{
+    const int64_t n_arcs = s->n_arcs, size = s->n_commodities * n_arcs;
+    const int64_t n_excesses = s->n_commodities * s->n_vertices;
+    double *prev = s->momentum, *slacks = prev + size;
+    double *totals = slacks + n_arcs, *excesses = totals + n_arcs;
+    const double kept = scaled_objective(s);
+    const double theta = (1.0 + sqrt(1.0 + 4.0 * s->theta * s->theta)) / 2.0;
+    const double beta = (s->theta - 1.0) / theta;
+    for (int64_t a = 0; a < n_arcs; a++) {
+        slacks[a] = s->slacks[a];
+        totals[a] = s->totals[a];
+    }
+    for (int64_t i = 0; i < n_excesses; i++)
+        excesses[i] = s->excesses[i];
+    for (int64_t i = 0; i < size; i++) {
+        const double x = s->flows[i];
+        s->flows[i] = max_zero(x + beta * (x - prev[i]));
+        prev[i] = x;
+    }
+    derive(s);
+    for (int64_t a = 0; a < n_arcs; a++)
+        s->slacks[a] = clip(s->caps[a] - s->totals[a], s->caps[a]);
+    if (scaled_objective(s) <= kept) {
+        s->theta = theta;
+        return;
+    }
+    for (int64_t i = 0; i < size; i++)
+        s->flows[i] = prev[i];
+    for (int64_t a = 0; a < n_arcs; a++) {
+        s->slacks[a] = slacks[a];
+        s->totals[a] = totals[a];
+    }
+    for (int64_t i = 0; i < n_excesses; i++)
+        s->excesses[i] = excesses[i];
+    s->theta = 1.0;
+}
+
 /* Derives totals and excesses from the flows and writes the row of that
  * state to row[0 .. 2]: the objective, then the used and unused
  * residuals. */
@@ -286,10 +364,12 @@ void sf_derive(sf_state *s, double *row)
     residuals(s, row + 1, 0);
 }
 
-/* Up to n iterations; iteration i writes rows[3i .. 3i+2]: the objective
- * and the residuals, all of the state it leaves. Returns the number of
- * rows written, fewer than n only after the first row whose larger
- * residual is <= tol or NaN, the rows that end solvers.solve's loop. */
+/* Up to n iterations, each a sweep or PGD step, then, once momentum is
+ * set, an extrapolation; iteration i writes rows[3i .. 3i+2]: the
+ * objective and the residuals, all of the state it keeps. Returns the
+ * number of rows written, fewer than n only after the first row whose
+ * larger residual is <= tol or NaN, the rows that end solvers.solve's
+ * loop. */
 int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
 {
     for (int64_t i = 0; i < n; i++) {
@@ -298,6 +378,8 @@ int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
             pgd_step(s);
         else
             sweep(s);
+        if (s->momentum)
+            extrapolate(s);
         row[0] = objective(s);
         residuals(s, row + 1, 0);
         const double used = row[1], unused = row[2];

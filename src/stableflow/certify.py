@@ -3,10 +3,12 @@
 ``classify`` applies the decision rule: a converged state with (near-)zero
 objective is a feasible flow; a converged state with a clearly positive
 objective is a certificate that no feasible flow exists; everything else,
-including the gray zone between the two thresholds, is UNDECIDED. Each
-threshold is a constant times ``Instance.scale``, the largest power of two
-not above the largest demand, so scaling capacities and demands together
-leaves the verdict unchanged; reports and flows stay in the caller's units.
+including the gray zone between the two thresholds, is UNDECIDED. The
+objective is read in units of ``Instance.scale`` squared, and the other
+thresholds are constants times the scale: the scale is the largest power of
+two not above the largest demand, so scaling capacities and demands
+together leaves the verdict unchanged; reports and flows stay in the
+caller's units.
 
 ``oracle_feasibility`` answers the same question for desk-scale instances by
 a textbook route that shares no code with the pseudo-flow machinery: a
@@ -20,7 +22,13 @@ from enum import Enum
 import numpy as np
 
 from .model import Instance, generate_random_instance
-from .pseudoflow import PseudoFlow, StabilityReport, check_feasible, write_flow_dump
+from .pseudoflow import (
+    PseudoFlow,
+    StabilityReport,
+    _scaled_objective,
+    check_feasible,
+    write_flow_dump,
+)
 from .solvers import SolveResult
 
 ORACLE_MAX_VERTICES = 8
@@ -57,24 +65,26 @@ class Verdict:
 def classify(inst: Instance, result: SolveResult) -> Verdict:
     """Classify a solve result as FEASIBLE, INFEASIBLE, or UNDECIDED.
 
-    Every threshold is a constant times ``s = inst.scale``. With both
-    residuals within the solver's ``result.config.tol * s``: objective <=
-    1e-9 * s² (the objective is quadratic in the data) means FEASIBLE,
-    objective > 10 times that means INFEASIBLE with the state as
-    certificate. Anything else, including unconverged results and the gray
-    zone between the thresholds, is UNDECIDED. A FEASIBLE flow is re-checked
-    directly at 1e-6 * s before being returned; a flow that fails that
-    check demotes the verdict to UNDECIDED.
+    The objective is read in units of ``s = inst.scale`` squared, as
+    0.5 * sum((congestion/s)²) + 0.5 * sum((height/s)²); read raw, it
+    underflows below demands of ~1e-154 and overflows above ~1e154. With
+    both residuals within the solver's ``result.config.tol * s``: a scaled
+    objective <= 1e-9 means FEASIBLE, one > 10 times that means INFEASIBLE
+    with the state as certificate. Anything else, including unconverged
+    results and the gray zone between the thresholds, is UNDECIDED. A
+    FEASIBLE flow is re-checked directly at 1e-6 * s before being returned;
+    a flow that fails that check demotes the verdict to UNDECIDED.
     """
     scale = inst.scale
-    zero_tol = 1e-9 * scale * scale  # not ``** 2``: that raises OverflowError past ~1e154
+    zero_tol = 1e-9
     report = result.report
+    objective = _scaled_objective(report.congestions, report.heights, scale)
     stable = report.max_residual <= result.config.tol * scale
-    if stable and report.objective <= zero_tol:
+    if stable and objective <= zero_tol:
         if check_feasible(inst, result.flow.flows, 1e-6 * scale).ok:
             return Verdict(VerdictKind.FEASIBLE, result.flow, None, report)
         return Verdict(VerdictKind.UNDECIDED, None, None, report)
-    if stable and report.objective > 10.0 * zero_tol:
+    if stable and objective > 10.0 * zero_tol:
         return Verdict(VerdictKind.INFEASIBLE, None, report, report)
     return Verdict(VerdictKind.UNDECIDED, None, None, report)
 

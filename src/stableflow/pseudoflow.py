@@ -221,6 +221,28 @@ def _slack_objective(
     return 0.5 * _sequential_sum(gap * gap) + 0.5 * _sequential_sum(excesses * excesses)
 
 
+def _scaled_objective(gaps: np.ndarray, excesses: np.ndarray, scale: float) -> float:
+    """0.5 * sum((gap/s)**2) + 0.5 * sum((excess/s)**2): the objective in units of s**2.
+
+    ``s`` is ``Instance.scale``, a power of two, so each division is exact.
+    Raw, the objective overflows to inf near demands of 1e200 and underflows
+    to 0 below 1e-154. Each sum is the loop ``_sweep.c`` runs, over Python
+    floats: on desk-sized arrays numpy's per-call cost would be most of the
+    time ``classify`` takes.
+    """
+    return 0.5 * _scaled_sum_of_squares(gaps, scale) + 0.5 * _scaled_sum_of_squares(
+        excesses, scale
+    )
+
+
+def _scaled_sum_of_squares(values: np.ndarray, scale: float) -> float:
+    total = 0.0
+    for value in values.ravel().tolist():
+        value /= scale
+        total += value * value
+    return total
+
+
 def _sequential_sum(values: np.ndarray) -> float:
     """Sum of ``values`` in C order, added left to right, as ``_sweep.c`` sums."""
     return float(np.cumsum(values)[-1]) if values.size else 0.0

@@ -27,10 +27,19 @@ Neither method has a stall exit: a solve stops on tol, on a NaN residual or
 at ``max_iters``. A PGD step at a point where the slope along d is not
 negative has t = 0 and leaves the point where it is.
 
+Both methods are local, so information crosses the graph one arc per
+iteration. Once a solve has run ``_MOMENTUM_GATE`` iterations, each further
+iteration is followed by :func:`_extrapolate`: FISTA's extrapolation from
+the last two results (Beck-Teboulle 2009), kept only if it does not raise
+the objective read in units of ``inst.scale``, and otherwise dropped with
+the momentum reset (adaptive restart, O'Donoghue-Candes 2015). The kept
+state never has a larger objective than the iteration's result, so traces
+stay monotone.
+
 Both methods run their iterations in the compiled kernel (``_sweep.c``,
-loaded by ``_kernel``) when it can be built. :func:`_python_sweep` and
-:func:`_pgd_step` are the bitwise reference for it and the fallback without
-it.
+loaded by ``_kernel``) when it can be built. :func:`_python_sweep`,
+:func:`_pgd_step` and :func:`_extrapolate` are the bitwise reference for it
+and the fallback without it.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .pseudoflow import (
     _flow_scatter,
     _integral_objective,
     _max_residual,
+    _scaled_objective,
     _sequential_sum,
     _slack_objective,
     _stability_residuals,
@@ -65,6 +75,9 @@ from .pseudoflow import (
 # descends. 1.5 takes a quarter to a third fewer sweeps than 1 on the bench
 # corpora (median desk 27 -> 18, tight 136 -> 100, large 42 -> 29).
 _OMEGA = 1.5
+# Iterations a solve runs before it starts to extrapolate (see _extrapolate).
+# The bench's large instance converges in 27, so its solve never pays for it.
+_MOMENTUM_GATE = 32
 
 
 class Method(Enum):
@@ -174,7 +187,10 @@ def solve(
     re-derives totals and excesses from the flows and returns the trace row
     (objective, used residual, unused residual) of that state; ``step``
     runs iterations in place and returns one row per iteration; ``finish``
-    makes the final flow and its report. The loop stops when both
+    makes the final flow and its report. Past ``_MOMENTUM_GATE``
+    iterations, each iteration also extrapolates and keeps or restarts (see
+    :func:`_extrapolate`), and its row is the kept state's; the first
+    ``_MOMENTUM_GATE`` iterations are plain. The loop stops when both
     stability residuals are within ``cfg.tol * inst.scale``, at once when
     either is NaN, or after ``cfg.max_iters`` iterations; neither method
     has another exit. ``converged`` is read off the final report, so the
@@ -186,15 +202,16 @@ def solve(
     three steps run in C on the state that :class:`_kernel.Kernel` holds in
     its one buffer, the result's arrays included: row 0 and the re-check at
     a stop, segments of up to ``_kernel.SEGMENT`` iterations of either
-    method that return early only on a row that stops the loop, and the
-    final flows, slacks, heights, congestions, multipliers and residuals.
-    Only the report's objective is summed in numpy, as
-    :func:`stability_report` sums it; a report with a NaN residual is
-    :func:`stability_report`'s own. Otherwise one iteration at a time runs
-    in :func:`_python_sweep` or :func:`_pgd_step`, the rest in numpy, and
-    the report is :func:`stability_report`'s. Either path copies the
-    starting state once. Both give bitwise the same result; both sum
-    sequentially, left to right.
+    method that return early on a row that stops the loop or at the gate
+    (whose arrays the next segment allocates), and the final flows, slacks,
+    heights, congestions, multipliers and residuals. Only the report's
+    objective is summed in numpy, as :func:`stability_report` sums it; a
+    report with a NaN residual is :func:`stability_report`'s own. Otherwise
+    one iteration at a time runs in :func:`_python_sweep` or
+    :func:`_pgd_step` and :func:`_extrapolate`, the rest in numpy, and the
+    report is :func:`stability_report`'s. Either path copies the starting
+    state once. Both give bitwise the same result; both sum sequentially,
+    left to right.
     """
     cfg = cfg or SolverConfig()
 
@@ -203,7 +220,9 @@ def solve(
     start = _initial_state(inst, cfg, warm_start)
     lib = _kernel.load()
     if lib is not None:
-        kernel = _kernel.Kernel(lib, inst, *start, cfg.method is Method.PGD, threshold, _OMEGA)
+        kernel = _kernel.Kernel(
+            lib, inst, *start, cfg.method is Method.PGD, threshold, _OMEGA, _MOMENTUM_GATE
+        )
         derive, step, segment = kernel.derive, kernel.run, _kernel.SEGMENT
 
         def finish() -> tuple[PseudoFlow, StabilityReport]:
@@ -241,9 +260,16 @@ def solve(
                 _python_sweep(flows, slacks, totals, excesses, caps, tails, heads)
 
         segment = 1  # the Python steps run one iteration
+        done, prev, theta = 0, None, 1.0
 
         def step(tol: float, n: int) -> list[list[float]]:
+            nonlocal done, prev, theta
             advance()
+            done += 1
+            if prev is not None:
+                theta = _extrapolate(inst, flows, slacks, totals, excesses, prev, theta)
+            elif done == _MOMENTUM_GATE:
+                prev = flows.copy()
             return [row()]
 
         def finish() -> tuple[PseudoFlow, StabilityReport]:
@@ -329,6 +355,43 @@ def _pgd_step(
     flows[...] = moved
     np.clip(slacks + t * slack_move, 0.0, caps, out=slacks)
     np.sum(flows, axis=0, out=totals)
+
+
+def _extrapolate(
+    inst: Instance,
+    flows: np.ndarray,
+    slacks: np.ndarray,
+    totals: np.ndarray,
+    excesses: np.ndarray,
+    prev: np.ndarray,
+    theta: float,
+) -> float:
+    """One extrapolation with adaptive restart, in place; the reference for ``_sweep.c``.
+
+    The state x+ is an iteration's result and ``prev`` the last one's flows.
+    y = max(0, x+ + beta * (x+ - prev)), with FISTA's beta = (theta - 1) /
+    theta' and theta' = (1 + sqrt(1 + 4 theta**2)) / 2 (Beck-Teboulle
+    2009); y's slacks are the optimum for its totals. The state becomes y if
+    y's objective in units of ``inst.scale`` is <= x+'s, and the call
+    returns theta'; otherwise the state stays x+ and it returns 1, a restart
+    (O'Donoghue-Candes 2015). Either way ``prev`` becomes x+'s flows.
+    """
+    caps, scale = inst.capacities, inst.scale
+    kept = _scaled_objective(totals + slacks - caps, excesses, scale)
+    theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+    beta = (theta - 1.0) / theta_next
+    moved = np.maximum(flows + beta * (flows - prev), 0.0)
+    prev[...] = flows
+    moved_totals = moved.sum(axis=0)
+    moved_excesses = _excess_matrix(inst, moved)
+    moved_slacks = _optimal_slacks(moved_totals, caps)
+    if not _scaled_objective(moved_totals + moved_slacks - caps, moved_excesses, scale) <= kept:
+        return 1.0
+    flows[...] = moved
+    slacks[...] = moved_slacks
+    totals[...] = moved_totals
+    excesses[...] = moved_excesses
+    return theta_next
 
 
 def _python_sweep(

@@ -142,10 +142,12 @@ class TestClassify:
         inst = one_arc(1.0, 2.0)
         result = solve_coordinate(inst)
         assert classify(inst, result).kind is VerdictKind.INFEASIBLE
-        # An objective above the zero cutoff 1e-9 * scale² but not above
-        # ten times it: neither branch may fire.
-        zero_tol = 1e-9 * inst.scale * inst.scale
-        result.report = result.report._replace(objective=5 * zero_tol)
+        # An objective, in units of scale², above the zero cutoff 1e-9 but
+        # not above ten times it: 0.5 * (1e-4)² = 5e-9. Neither branch may
+        # fire.
+        result.report = result.report._replace(
+            congestions=np.zeros(1), heights=np.array([[1e-4], [0.0]]) * inst.scale
+        )
         assert classify(inst, result).kind is VerdictKind.UNDECIDED
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -171,10 +173,20 @@ class TestClassify:
         assert result.report.max_residual <= result.config.tol * huge.scale
         assert classify(huge, result).kind is VerdictKind.INFEASIBLE
 
+    @pytest.mark.parametrize("demand", [1e-200, 1e-300, 1e-310])
+    def test_tiny_demand_decided(self, demand):
+        # Read raw, the objective (~demand²) and the cutoff 1e-9 * scale²
+        # underflow, and this plainly infeasible instance read UNDECIDED.
+        # In units of scale² the objective reads 0.11 to 0.20.
+        inst = Instance(2, [(0, 1, demand / 2)], [(0, 1, demand)])
+        result = solve(inst)
+        assert result.converged
+        assert classify(inst, result).kind is VerdictKind.INFEASIBLE
+
     def test_zero_tolerance_overflows_to_inf(self):
-        # The zero cutoff 1e-9 * scale² overflows to inf here, and so does
-        # the objective. Both methods converge, and the flow, ~1e200 over
-        # capacity, fails the FEASIBLE re-check.
+        # The raw objective overflows to inf here. Both methods converge,
+        # and read in units of scale² the objective is 1.37: a demand of
+        # 2e200 crosses a cut of capacity 3, so the verdict is INFEASIBLE.
         inst = Instance(
             3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [(0, 2, 1e200), (0, 2, 1e200)]
         )
@@ -183,7 +195,7 @@ class TestClassify:
                 result = solve(inst, SolverConfig(method=method))
                 assert result.converged
                 assert result.report.objective == math.inf
-                assert classify(inst, result).kind is VerdictKind.UNDECIDED
+                assert classify(inst, result).kind is VerdictKind.INFEASIBLE
 
     @pytest.mark.parametrize("method", [Method.COORDINATE, Method.PGD])
     def test_huge_capacity_does_not_loosen_tolerances(self, method):

@@ -18,6 +18,8 @@ from stableflow import (
     PseudoFlow,
     SolverConfig,
     StabilityReport,
+    VerdictKind,
+    classify,
     desk_scale_batch,
     generate_random_instance,
     objective,
@@ -126,9 +128,11 @@ class TestPgd:
         assert slacks[0] == 1.0
         assert _slack_objective(totals, slacks, caps, excesses) == pytest.approx(1 / 3, abs=1e-15)
         # Each step stops at the minimum along its direction, so it takes
-        # many steps to reach the flow of 1.0 a full step would land on.
+        # many steps to reach the flow of 1.0 a full step would land on:
+        # 35 plain steps, 34 with the extrapolation that starts after
+        # step 32.
         result = solve_pgd(inst)
-        assert result.converged and result.iterations == 35
+        assert result.converged and result.iterations == 34
 
 
 class TestCoordinate:
@@ -477,7 +481,9 @@ class TestCompiledKernel:
         caps, tails, heads = inst.capacities, inst.tails, inst.heads
 
         def bind():
-            kernel = _kernel.Kernel(lib, inst, flows, slacks, False, 0.5, solvers._OMEGA)
+            kernel = _kernel.Kernel(
+                lib, inst, flows, slacks, False, 0.5, solvers._OMEGA, solvers._MOMENTUM_GATE
+            )
             kernel.totals[...] = flows.sum(axis=0)
             kernel.excesses[...] = excesses
             return kernel, _kernel_state(kernel)
@@ -543,7 +549,9 @@ def _assert_pgd_steps_match(inst, flows, slacks, steps=3):
     if lib is None:
         pytest.skip("no compiled kernel on this platform")
     caps, tails, heads = inst.capacities, inst.tails, inst.heads
-    kernel = _kernel.Kernel(lib, inst, flows, slacks, True, 0.5, solvers._OMEGA)
+    kernel = _kernel.Kernel(
+        lib, inst, flows, slacks, True, 0.5, solvers._OMEGA, solvers._MOMENTUM_GATE
+    )
     kernel.totals[...] = flows.sum(axis=0)
     kernel.excesses[...] = _excess_matrix(inst, flows)
     state = _kernel_state(kernel)
@@ -626,7 +634,9 @@ class TestFinalReport:
 
 def _segment_cases():
     # max_iters 9 and 41 end partway through segments of 2 and 7; the
-    # uncapped desk solves stop on a converged row inside a segment.
+    # uncapped desk solves stop on a converged row inside a segment. The
+    # tight cases and desk4 (both methods), desk0, desk2 and desk5 (PGD) run
+    # past the gate, and desk4 restarts its extrapolation there.
     desk = desk_scale_batch(6, seed=23)
     cases = [(f"desk{i}", inst, COORD) for i, inst in enumerate(desk)]
     cases += [(f"desk{i}-cap9", inst, SolverConfig(max_iters=9)) for i, inst in enumerate(desk)]
@@ -696,6 +706,114 @@ class TestSegments:
         compiled = solve(inst, cfg)
         assert compiled.iterations == 150 and not compiled.converged
         assert_bitwise_same(compiled, _python_only_solve(inst, cfg))
+
+
+# --- Extrapolation with adaptive restart, past the gate ---
+
+
+def _path(n, demand):
+    """A path of n vertices with two-way arcs of capacity 1, forward arcs
+    first, and one commodity from end to end."""
+    forward = [(i, i + 1, 1.0) for i in range(n - 1)]
+    return Instance(n, forward + [(j, i, c) for i, j, c in forward], [(0, n - 1, demand)])
+
+
+def _plain_rows(inst, method, iterations):
+    """Rows 0..iterations and the final (flows, slacks, totals, excesses) of
+    plain sweeps or PGD steps from the zero state, without extrapolation."""
+    caps, tails, heads = inst.capacities, inst.tails, inst.heads
+    state = _zero_state(inst)
+    flows, slacks, totals, excesses = state
+
+    def row():
+        used, unused, _ = _stability_residuals(
+            flows, totals, excesses, caps, tails, heads, solvers._USE_FRACTION * inst.scale
+        )
+        return [_slack_objective(totals, slacks, caps, excesses), used, unused]
+
+    rows = [row()]
+    for _ in range(iterations):
+        if method is Method.PGD:
+            solvers._pgd_step(inst, *state)
+        else:
+            solvers._python_sweep(*state, caps, tails, heads)
+        rows.append(row())
+    return rows, state
+
+
+class TestMomentum:
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "demand,kind", [(0.5, VerdictKind.FEASIBLE), (1.5, VerdictKind.INFEASIBLE)]
+    )
+    def test_long_path_converges(self, method, demand, kind):
+        # Each update moves information one arc, so plain iterations need
+        # about n² of them on a path: 2200 and 827 coordinate sweeps here,
+        # and 7663 and 2809 PGD steps. Extrapolation takes 173 to 341.
+        inst = _path(40, demand)
+        result = solve(inst, SolverConfig(method=method))
+        assert result.converged and result.iterations <= 600
+        assert classify(inst, result).kind is kind
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_plain_until_gate(self, method, compiled):
+        # The first _MOMENTUM_GATE iterations are plain: rows and state. The
+        # next one extrapolates, and its first try (beta 0) only sets the
+        # slacks to their optimum, which lowers the objective here.
+        gate = solvers._MOMENTUM_GATE
+        inst = _tight_instance(4)
+        rows, (flows, _, _, _) = _plain_rows(inst, method, gate)
+        plain_next = _plain_rows(inst, method, gate + 1)[0][-1]
+        run = solve if compiled else _python_only_solve
+        at_gate = run(inst, SolverConfig(method=method, tol=1e-300, max_iters=gate))
+        assert at_gate.rows == rows
+        past = run(inst, SolverConfig(method=method, tol=1e-300, max_iters=gate + 1))
+        assert past.rows[:-1] == rows
+        assert past.rows[-1][0] < plain_next[0]
+        # The state after the gate's iteration, made final as solve makes it.
+        assert at_gate.flow.flows.tobytes() == np.maximum(flows, 0.0).tobytes()
+        expected_slacks = solvers._optimal_slacks(flows.sum(axis=0), inst.capacities)
+        assert at_gate.flow.slacks.tobytes() == expected_slacks.tobytes()
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, _kernel.SEGMENT])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_extrapolation_matches_python_loop(self, monkeypatch, method, segment):
+        # Past the gate some extrapolations are kept and some restart; the
+        # compiled path agrees bit for bit across segment boundaries, the
+        # gate's split of a segment included.
+        inst = _path(20, 1.5)
+        cfg = SolverConfig(method=method)
+        thetas = []
+        extrapolate = solvers._extrapolate
+
+        def recording(*args):
+            thetas.append(extrapolate(*args))
+            return thetas[-1]
+
+        monkeypatch.setattr(solvers, "_extrapolate", recording)
+        reference = _python_only_solve(inst, cfg)
+        assert 1.0 in thetas and any(theta > 1.0 for theta in thetas)
+        assert reference.converged and reference.iterations > _kernel.SEGMENT
+        monkeypatch.setattr(_kernel, "SEGMENT", segment)
+        assert_bitwise_same(solve(inst, cfg), reference)
+
+    def test_arrays_allocated_at_gate(self):
+        # A solve that stops by the gate never holds the extrapolation's
+        # arrays: a run stops there, and the next run allocates them.
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        inst = _path(20, 1.5)
+        flows = np.zeros((inst.commodity_count, inst.arc_count))
+        kernel = _kernel.Kernel(
+            lib, inst, flows, inst.capacities, False, 0.0, solvers._OMEGA, solvers._MOMENTUM_GATE
+        )
+        kernel.derive()
+        assert len(kernel.run(NEVER_STABLE, _kernel.SEGMENT)) == solvers._MOMENTUM_GATE
+        assert kernel._momentum is None
+        assert len(kernel.run(NEVER_STABLE, _kernel.SEGMENT)) == _kernel.SEGMENT
+        assert kernel._momentum is not None
 
 
 @pytest.fixture
@@ -774,7 +892,9 @@ class TestKernelArrayGuard:
     def bind(lib, n_vertices=4, n_arcs=5, n_commodities=3):
         inst = Instance(n_vertices, [(0, 1, 1.0)] * n_arcs, [(0, 1, 1.0)] * n_commodities)
         flows = np.zeros((n_commodities, n_arcs))
-        return _kernel.Kernel(lib, inst, flows, np.zeros(n_arcs), False, 0.0, solvers._OMEGA)
+        return _kernel.Kernel(
+            lib, inst, flows, np.zeros(n_arcs), False, 0.0, solvers._OMEGA, solvers._MOMENTUM_GATE
+        )
 
     def test_valid_arrays_bind(self):
         lib = _kernel.load()
