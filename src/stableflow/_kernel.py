@@ -1,4 +1,5 @@
-"""The compiled per-solve work of both solvers, built on first use.
+"""The compiled per-solve work of both solvers, and the cycle cancelling of a
+FEASIBLE flow, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -24,6 +25,7 @@ import zlib
 import numpy as np
 
 from .model import Instance
+from .pseudoflow import PseudoFlow
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_sweep.c")
@@ -116,6 +118,10 @@ def load() -> ctypes.CDLL | None:
         lib.sf_run.restype = ctypes.c_int64
         lib.sf_report.argtypes = [state, ctypes.c_void_p]
         lib.sf_report.restype = None
+        lib.sf_cancel.argtypes = [
+            *[ctypes.c_void_p] * 5, *[ctypes.c_int64] * 3, ctypes.c_double
+        ]
+        lib.sf_cancel.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     return lib
@@ -172,15 +178,12 @@ class Kernel:
         self._rows = rows.reshape(SEGMENT, 3)
         self.flows[...] = flows
         self.slacks[...] = slacks
-        base = self._buffer.ctypes.data
+        base = _address(self._buffer)
         pointers = [base + 8 * offset for offset in offsets]
         self._rows_ptr, self._report_ptr = pointers[4:6]
         self._state = _State(
             *pointers[:4],
-            inst.capacities.ctypes.data,
-            inst.tails.ctypes.data,
-            inst.heads.ctypes.data,
-            inst.injection.ctypes.data,
+            *map(_address, inst._arrays),
             pointers[6],
             None,
             n_vertices,
@@ -261,3 +264,34 @@ class Kernel:
             used,
             unused,
         )
+
+
+def cancel(lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float) -> PseudoFlow:
+    """A copy of ``flows`` with each commodity's directed cycles cancelled,
+    as ``pseudoflow._cancel_cycles`` does, and the slacks' optimum for its
+    totals: copy, cancel and slacks in one call to ``_sweep.c:sf_cancel``,
+    into one (K + 1, A) buffer. ``flows`` is a nonempty, C-contiguous,
+    native float64 array of the instance's (K, A) shape."""
+    n_commodities, n_arcs = inst.commodity_count, inst.arc_count
+    buffer = np.empty((n_commodities + 1, n_arcs))
+    caps, tails, heads, _ = inst._arrays
+    if lib.sf_cancel(
+        _address(flows), _address(buffer), _address(caps), _address(tails), _address(heads),
+        inst.vertex_count, n_arcs, n_commodities, threshold,
+    ):
+        raise MemoryError("sf_cancel could not allocate its scratch")
+    return PseudoFlow._adopt(buffer[:n_commodities], buffer[n_commodities])
+
+
+def _address(array: np.ndarray) -> int:
+    """The data address of a C-contiguous array; 0 for an empty one.
+
+    ctypes ``from_buffer`` reads a writable array's in a third of the time
+    ``ndarray.ctypes.data`` takes, but refuses a read-only one.
+    """
+    if not array.size:
+        return 0
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except TypeError:
+        return array.ctypes.data

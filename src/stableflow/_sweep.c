@@ -10,7 +10,9 @@
  *   stability residuals) of the kept state; it stops early only once the
  *   state is stable or a residual is NaN. Neither method has a stall exit;
  * - sf_report: the final flows and slacks, and the report on them:
- *   heights, congestions, implied multipliers and both residuals.
+ *   heights, congestions, implied multipliers and both residuals;
+ * - sf_cancel, for certify.classify: a copy of a FEASIBLE flow with each
+ *   commodity's directed cycles cancelled, and its slacks.
  *
  * The flows, slacks, totals, excesses and work arrays are views of the one
  * buffer of _kernel.Kernel; the arcs, capacities and demand injection are
@@ -49,6 +51,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Arrays of one solve, all C-contiguous; mirrored by _kernel._State. */
 typedef struct {
@@ -412,4 +415,109 @@ void sf_report(sf_state *s, double *out)
         for (int64_t v = 0; v < n_vertices; v++)
             heights[v * n_commodities + k] = s->excesses[k * n_vertices + v];
     residuals(s, multipliers + n_commodities * n_arcs, multipliers);
+}
+
+/* For certify.classify, as pseudoflow._cancel_cycles: out's first K*A
+ * doubles get a copy of flows with each commodity's directed cycles
+ * cancelled, and the next A the slacks' optimum for the new totals. An arc
+ * is in the support while its flow is above the threshold. Per commodity,
+ * one depth-first search: roots ascending, each vertex's out-arcs in arc-id
+ * order. An arc into a vertex on the path closes a cycle; the cycle's
+ * smallest flow is subtracted from each of its arcs, which puts that arc at
+ * 0.0, and the path is cut back to the tail of the cycle's first arc (from
+ * the vertex re-entered) at or below the threshold. Flows only fall, so a
+ * vertex whose support leads only to finished vertices stays finished, and
+ * an arc passed over stays passed. No flow is zeroed except by cancelling.
+ * Returns -1, with out unfinished, when the search's scratch cannot be
+ * allocated, else 0. */
+int64_t sf_cancel(const double *flows, double *out, const double *caps,
+                  const int64_t *tails, const int64_t *heads, int64_t n_vertices,
+                  int64_t n_arcs, int64_t n_commodities, double threshold)
+{
+    const int64_t size = n_commodities * n_arcs;
+    double *slacks = out + size;
+    int64_t *first = malloc(sizeof(int64_t) * (5 * n_vertices + n_arcs + 1));
+    if (!first)
+        return -1;
+    /* v's out-arcs are order[first[v] .. first[v+1]), ascending; next[v]
+     * is the next one to try. place[v] is -1 for a new vertex, -2 for a
+     * finished one, else v's index on the path; via[i] is the arc from
+     * path[i] to path[i+1]. */
+    int64_t *order = first + n_vertices + 1;
+    int64_t *next = order + n_arcs;
+    int64_t *place = next + n_vertices;
+    int64_t *path = place + n_vertices;
+    int64_t *via = path + n_vertices;
+    for (int64_t i = 0; i < size; i++)
+        out[i] = flows[i];
+    for (int64_t v = 0; v <= n_vertices; v++)
+        first[v] = 0;
+    for (int64_t a = 0; a < n_arcs; a++)
+        first[tails[a] + 1]++;
+    for (int64_t v = 0; v < n_vertices; v++) {
+        first[v + 1] += first[v];
+        next[v] = first[v];
+    }
+    for (int64_t a = 0; a < n_arcs; a++)
+        order[next[tails[a]]++] = a;
+
+    for (int64_t k = 0; k < n_commodities; k++) {
+        double *flow = out + k * n_arcs;
+        for (int64_t v = 0; v < n_vertices; v++) {
+            next[v] = first[v];
+            place[v] = -1;
+        }
+        for (int64_t root = 0; root < n_vertices; root++) {
+            if (place[root] != -1)
+                continue;
+            int64_t depth = 0;
+            path[0] = root;
+            place[root] = 0;
+            while (depth >= 0) {
+                const int64_t v = path[depth];
+                while (next[v] < first[v + 1]) {
+                    const int64_t a = order[next[v]];
+                    if (flow[a] > threshold && place[heads[a]] != -2)
+                        break;
+                    next[v]++;
+                }
+                if (next[v] == first[v + 1]) {
+                    place[v] = -2;
+                    depth--;
+                    continue;
+                }
+                const int64_t a = order[next[v]], w = heads[a];
+                via[depth] = a;
+                if (place[w] == -1) {
+                    path[++depth] = w;
+                    place[w] = depth;
+                    continue;
+                }
+                /* via[place[w] .. depth] is a cycle through w. */
+                double least = flow[a];
+                for (int64_t i = place[w]; i < depth; i++)
+                    if (flow[via[i]] < least)
+                        least = flow[via[i]];
+                int64_t cut = -1;
+                for (int64_t i = place[w]; i <= depth; i++) {
+                    flow[via[i]] -= least;
+                    if (cut < 0 && flow[via[i]] <= threshold)
+                        cut = i;
+                }
+                for (int64_t i = cut + 1; i <= depth; i++)
+                    place[path[i]] = -1;
+                depth = cut;
+            }
+        }
+    }
+
+    for (int64_t a = 0; a < n_arcs; a++)
+        slacks[a] = 0.0;
+    for (int64_t k = 0; k < n_commodities; k++)
+        for (int64_t a = 0; a < n_arcs; a++)
+            slacks[a] += out[k * n_arcs + a];
+    for (int64_t a = 0; a < n_arcs; a++)
+        slacks[a] = clip(caps[a] - slacks[a], caps[a]);
+    free(first);
+    return 0;
 }

@@ -21,15 +21,18 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
+from . import _kernel
 from .model import Instance, generate_random_instance
 from .pseudoflow import (
     PseudoFlow,
     StabilityReport,
+    _USE_FRACTION,
+    _cancel_cycles,
     _scaled_objective,
     check_feasible,
     write_flow_dump,
 )
-from .solvers import SolveResult
+from .solvers import SolveResult, _optimal_slacks
 
 ORACLE_MAX_VERTICES = 8
 ORACLE_MAX_ARCS = 12
@@ -50,9 +53,12 @@ class VerdictKind(Enum):
 class Verdict:
     """Outcome of classification.
 
-    ``flow`` is present exactly for FEASIBLE verdicts; ``certificate`` (the
-    stability report of the converged nonzero state: heights, congestions,
-    objective) exactly for INFEASIBLE ones. ``report`` is the solve's
+    ``flow`` is present exactly for FEASIBLE verdicts: a copy of the solve's
+    flow with each commodity's directed cycles cancelled (``_sweep.c:
+    sf_cancel``), the routing that was re-checked and is dumped; the
+    ``SolveResult`` keeps the solve's own. ``certificate`` (the stability
+    report of the converged nonzero state: heights, congestions, objective)
+    is present exactly for INFEASIBLE verdicts. ``report`` is the solve's
     stability report, whatever the kind.
     """
 
@@ -72,8 +78,9 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     objective <= 1e-9 means FEASIBLE, one > 10 times that means INFEASIBLE
     with the state as certificate. Anything else, including unconverged
     results and the gray zone between the thresholds, is UNDECIDED. A
-    FEASIBLE flow is re-checked directly at 1e-6 * s before being returned;
-    a flow that fails that check demotes the verdict to UNDECIDED.
+    FEASIBLE flow gets each commodity's directed cycles cancelled, on a
+    copy, and is then re-checked directly at 1e-6 * s before being
+    returned; a flow that fails that check demotes the verdict to UNDECIDED.
     """
     scale = inst.scale
     zero_tol = 1e-9
@@ -81,12 +88,29 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     objective = _scaled_objective(report.congestions, report.heights, scale)
     stable = report.max_residual <= result.config.tol * scale
     if stable and objective <= zero_tol:
-        if check_feasible(inst, result.flow.flows, 1e-6 * scale).ok:
-            return Verdict(VerdictKind.FEASIBLE, result.flow, None, report)
+        flow = _acyclic(inst, result.flow.flows)
+        if check_feasible(inst, flow.flows, 1e-6 * scale).ok:
+            return Verdict(VerdictKind.FEASIBLE, flow, None, report)
         return Verdict(VerdictKind.UNDECIDED, None, None, report)
     if stable and objective > 10.0 * zero_tol:
         return Verdict(VerdictKind.INFEASIBLE, None, report, report)
     return Verdict(VerdictKind.UNDECIDED, None, None, report)
+
+
+def _acyclic(inst: Instance, flows: np.ndarray) -> PseudoFlow:
+    """A copy of ``flows`` with each commodity's directed cycles cancelled,
+    and the slacks' optimum for it: ``_sweep.c:sf_cancel`` in one call, or
+    ``pseudoflow._cancel_cycles`` when the kernel cannot be loaded or there
+    are no flows."""
+    shape = (inst.commodity_count, inst.arc_count)
+    if flows.shape != shape or flows.dtype.char != "d":
+        raise ValueError(f"flows must be a float64 array of shape {shape}")
+    threshold = _USE_FRACTION * inst.scale
+    lib = _kernel.load()
+    if lib is not None and flows.size:  # the kernel takes no empty array
+        return _kernel.cancel(lib, inst, np.ascontiguousarray(flows, dtype=float), threshold)
+    cancelled = _cancel_cycles(inst, flows, threshold)
+    return PseudoFlow._adopt(cancelled, _optimal_slacks(cancelled.sum(axis=0), inst.capacities))
 
 
 def render_verdict_report(

@@ -161,26 +161,38 @@ class Instance:
     @cached_property
     def tails(self) -> np.ndarray:
         """(A,) int64 tail vertex of each arc."""
-        return _read_only(np.array([a.tail for a in self.arcs], dtype=np.int64))
+        return _read_only(self._arrays[1].view())
 
     @cached_property
     def heads(self) -> np.ndarray:
         """(A,) int64 head vertex of each arc."""
-        return _read_only(np.array([a.head for a in self.arcs], dtype=np.int64))
+        return _read_only(self._arrays[2].view())
 
     @cached_property
     def capacities(self) -> np.ndarray:
         """(A,) float capacity of each arc."""
-        return _read_only(np.array([a.capacity for a in self.arcs], dtype=float))
+        return _read_only(self._arrays[0].view())
 
     @cached_property
     def injection(self) -> np.ndarray:
         """(K, V) demand injection: +demand at each source, -demand at each sink."""
-        inj = np.zeros((self.commodity_count, self.vertex_count))
+        return _read_only(self._arrays[3].view())
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Capacities, tails, heads and injection, of which the properties
+        above are read-only views. The compiled kernel reads these writable
+        bases, since ctypes reads a writable array's address the fastest."""
+        injection = np.zeros((self.commodity_count, self.vertex_count))
         for k, com in enumerate(self.commodities):
-            inj[k, com.source] = com.demand
-            inj[k, com.sink] = -com.demand
-        return _read_only(inj)
+            injection[k, com.source] = com.demand
+            injection[k, com.sink] = -com.demand
+        return (
+            np.array([a.capacity for a in self.arcs], dtype=float),
+            np.array([a.tail for a in self.arcs], dtype=np.int64),
+            np.array([a.head for a in self.arcs], dtype=np.int64),
+            injection,
+        )
 
     @cached_property
     def excess_slots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -343,6 +343,63 @@ def check_feasible(inst: Instance, flows: np.ndarray, tol: float) -> Feasibility
     return FeasibilityCheck(ok, cap_violation, conservation, min_flow)
 
 
+def _cancel_cycles(inst: Instance, flows: np.ndarray, threshold: float) -> np.ndarray:
+    """A copy of ``flows`` with each commodity's directed cycles cancelled.
+
+    The reference and fallback for ``_sweep.c:sf_cancel``, bitwise; its
+    comment gives the search. Taking a cycle's smallest flow off its arcs
+    keeps every excess and lowers arc totals, so a feasible routing stays
+    feasible (flow decomposition; Ahuja-Magnanti-Orlin 1993, section 3.5).
+    """
+    heads = inst.heads.tolist()
+    out_arcs: list[list[int]] = [[] for _ in range(inst.vertex_count)]
+    for a, tail in enumerate(inst.tails.tolist()):
+        out_arcs[tail].append(a)
+    cancelled = np.array(flows, dtype=float)
+    for k in range(inst.commodity_count):
+        flow = cancelled[k].tolist()
+        next_arc = [0] * inst.vertex_count
+        place = [-1] * inst.vertex_count  # -1 new, -2 finished, else index on the path
+        for root in range(inst.vertex_count):
+            if place[root] != -1:
+                continue
+            path, via = [root], []  # via[i]: the arc from path[i] to path[i + 1]
+            place[root] = 0
+            while path:
+                v = path[-1]
+                arcs, i = out_arcs[v], next_arc[v]
+                while i < len(arcs) and (
+                    not flow[arcs[i]] > threshold or place[heads[arcs[i]]] == -2
+                ):
+                    i += 1
+                next_arc[v] = i
+                if i == len(arcs):
+                    place[v] = -2
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                a = arcs[i]
+                w = heads[a]
+                via.append(a)
+                if place[w] == -1:
+                    place[w] = len(path)
+                    path.append(w)
+                    continue
+                start = place[w]
+                least = min(flow[b] for b in via[start:])
+                cut = -1
+                for j in range(start, len(via)):
+                    flow[via[j]] -= least
+                    if cut < 0 and flow[via[j]] <= threshold:
+                        cut = j
+                for u in path[cut + 1 :]:
+                    place[u] = -1
+                del path[cut + 1 :], via[cut:]
+        cancelled[k] = flow
+    return cancelled
+
+
 def write_flow_dump(
     inst: Instance,
     flows: np.ndarray,
@@ -364,7 +421,9 @@ def write_flow_dump(
     # array at once holds index and value lists for every pair in memory.
     for k in range(inst.commodity_count):
         row = flows[k]
-        arcs = np.flatnonzero(row)  # NaN counts as nonzero, -0.0 does not
+        # NaN counts as nonzero, -0.0 does not; row.nonzero() is the cheapest
+        # way to list a row's nonzeros.
+        arcs = row.nonzero()[0]
         lines.extend(
             f"f {k + 1} {arc_fields[a]} {value!r}"
             for a, value in zip(arcs.tolist(), row[arcs].tolist())

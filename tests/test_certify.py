@@ -24,6 +24,7 @@ from stableflow import (
     solve_pgd,
     stability_report,
 )
+from stableflow import _kernel
 
 
 def scaled(inst, factor):
@@ -370,3 +371,114 @@ class TestRender:
         assert text.splitlines()[0] == "verdict INFEASIBLE"
         assert "\nf " not in text
         assert "iterations" not in text
+
+
+def _corpus_seed(index):
+    """The benchmark corpus's seed of instance ``index``."""
+    return int(np.random.SeedSequence([0, index]).generate_state(1)[0])
+
+
+def _tight_corpus():
+    # The benchmark's tight family: integer caps 1-3, demands 2-8.
+    corpus = []
+    for i in range(13):
+        rng = np.random.default_rng(_corpus_seed(i))
+        corpus.append(
+            generate_random_instance(
+                int(rng.integers(20, 51)),
+                int(rng.integers(60, 301)),
+                int(rng.integers(2, 6)),
+                (1.0, 3.0),
+                (2.0, 8.0),
+                seed=int(rng.integers(0, 2**31)),
+                integer_values=True,
+            )
+        )
+    return corpus
+
+
+class TestAcyclicRouting:
+    @pytest.mark.parametrize(
+        "corpus,feasible",
+        [
+            pytest.param(_tight_corpus, 5, id="tight"),
+            pytest.param(
+                lambda: [
+                    generate_random_instance(
+                        300, 3000, 20, (1.0, 5.0), (1.0, 5.0), seed=_corpus_seed(0)
+                    )
+                ],
+                1,
+                id="large",
+            ),
+            pytest.param(
+                lambda: [desk_scale_batch(1, _corpus_seed(i))[0] for i in range(200)], 63, id="desk"
+            ),
+        ],
+    )
+    def test_compiled_matches_python_on_corpus(self, corpus, feasible, assert_cycles_cancelled):
+        decided = lines_before = lines_after = 0
+        for inst in corpus():
+            result = solve(inst)
+            kept = result.flow.flows.copy()
+            verdict = classify(inst, result)
+            if verdict.kind is not VerdictKind.FEASIBLE:
+                continue
+            decided += 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_kernel, "load", lambda: None)
+                reference = classify(inst, result).flow
+            assert verdict.flow.flows.tobytes() == reference.flows.tobytes()
+            assert verdict.flow.slacks.tobytes() == reference.slacks.tobytes()
+            caps = inst.capacities
+            optimal = np.clip(caps - verdict.flow.flows.sum(axis=0), 0.0, caps)
+            assert verdict.flow.slacks.tobytes() == optimal.tobytes()
+            threshold = 1e-9 * inst.scale
+            assert_cycles_cancelled(inst, kept, verdict.flow.flows, threshold)
+            assert check_feasible(inst, verdict.flow.flows, 1e-6 * inst.scale).ok
+            assert result.flow.flows.tobytes() == kept.tobytes()
+            lines_before += np.count_nonzero(kept)
+            lines_after += np.count_nonzero(verdict.flow.flows)
+        assert decided == feasible
+        assert lines_after < lines_before
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda flows: np.lib.stride_tricks.as_strided(flows, writeable=False),
+            np.asfortranarray,
+            lambda flows: flows.astype(">f8"),
+        ],
+        ids=["read-only", "fortran", "big-endian"],
+    )
+    def test_flow_in_any_layout_accepted(self, layout):
+        # The compiled cancel reads a native C-ordered copy when it must, so
+        # both paths give the routing of the plain array.
+        inst = next(
+            inst
+            for inst in (desk_scale_batch(1, _corpus_seed(i))[0] for i in range(20))
+            if classify(inst, solve(inst)).kind is VerdictKind.FEASIBLE
+        )
+        result = solve(inst)
+        expected = classify(inst, result).flow
+        result.flow.flows = layout(result.flow.flows)
+        compiled = classify(inst, result).flow
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", lambda: None)
+            fallback = classify(inst, result).flow
+        for flow in (compiled, fallback):
+            assert flow.flows.tobytes() == expected.flows.tobytes()
+            assert flow.slacks.tobytes() == expected.slacks.tobytes()
+
+    @pytest.mark.parametrize(
+        "flows",
+        [np.ones((1, 2)), np.ones((2, 1)), np.ones((1, 1), dtype=np.int64)],
+        ids=["wide", "tall", "int64"],
+    )
+    def test_flow_not_of_the_instance_rejected(self, one_arc, flows):
+        # The compiled cancel reads the instance's (K, A) float64 layout.
+        inst = one_arc(1.0, 1.0)
+        result = solve_coordinate(inst)
+        result.flow.flows = flows
+        with pytest.raises(ValueError, match=r"float64 array of shape \(1, 1\)"):
+            classify(inst, result)

@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from stableflow import parse_instance, serialize_instance
+from stableflow import parse_instance, serialize_instance, solve, write_flow_dump
 from stableflow.cli import main
 
 FEASIBLE = "p mcf 2 1 1\na 1 2 1.0\nc 1 2 1.0\n"
 INFEASIBLE = "p mcf 2 1 1\na 1 2 1.0\nc 1 2 2.0\n"
+CYCLIC = "p mcf 3 4 1\na 3 1 2.0\na 1 3 1.0\na 3 2 3.0\na 2 3 4.0\nc 2 3 4.0\n"
 
 
 @pytest.fixture
@@ -177,6 +178,21 @@ class TestCheck:
         dump = tmp_path / "solved.dump"
         dump.write_text("\n".join(dump_lines) + "\n", encoding="utf-8")
         assert main(["check", inst_path, "--flow", str(dump)]) == 0
+
+    def test_solve_dump_has_cycles_cancelled(self, instance_file, tmp_path, capsys):
+        # The solve routes this commodity around both 2-cycles; the dump
+        # drops those loops, and still passes check.
+        inst_path = instance_file(CYCLIC)
+        assert main(["solve", inst_path]) == 0
+        out = capsys.readouterr().out
+        dump_lines = [ln for ln in out.splitlines() if ln[:2] in ("s ", "f ")]
+        dump = tmp_path / "solved.dump"
+        dump.write_text("\n".join(dump_lines) + "\n", encoding="utf-8")
+        assert main(["check", inst_path, "--flow", str(dump)]) == 0
+        inst = parse_instance(CYCLIC)
+        solved = write_flow_dump(inst, solve(inst).flow.flows, 0.0, 0.0, 0.0)
+        f_lines = sum(ln.startswith("f ") for ln in dump_lines)
+        assert f_lines < sum(ln.startswith("f ") for ln in solved.splitlines())
 
 
 class TestGenerate:

@@ -21,7 +21,8 @@ from stableflow import (
     stability_report,
     write_flow_dump,
 )
-from stableflow.pseudoflow import _excess_matrix
+from stableflow import _kernel
+from stableflow.pseudoflow import _cancel_cycles, _excess_matrix
 
 
 def random_point(inst, rng, low=0.01):
@@ -415,3 +416,90 @@ class TestFlowDump:
         inst = one_arc(1.0, 1.0)
         with pytest.raises(FlowDumpError, match="line 3: commodity 1 on arc 1 repeats line 2"):
             parse_flow_dump(inst, "s 0.0 0.0 0.0\nf 1 1 2 1 9.0\nf 1 1 2 1 1.0\n")
+
+
+THRESHOLD = 1e-9  # the use threshold at scale 1.0, a largest demand in [1, 2)
+
+
+def _cancel_both_ways(inst, flows):
+    """The Python reference's cancelled flows; the compiled ones must be bitwise equal."""
+    reference = _cancel_cycles(inst, flows, THRESHOLD)
+    lib = _kernel.load()
+    if lib is not None:
+        compiled = _kernel.cancel(lib, inst, flows, THRESHOLD)
+        assert compiled.flows.tobytes() == reference.tobytes()
+        caps = inst.capacities
+        assert compiled.slacks.tobytes() == np.clip(caps - reference.sum(axis=0), 0, caps).tobytes()
+    return reference
+
+
+class TestCancelCycles:
+    @pytest.mark.parametrize(
+        "arcs,commodity,flows,expected",
+        [
+            pytest.param(
+                [(0, 1, 5.0), (1, 0, 5.0)], (0, 1, 1.0), [1.5, 0.5], [1.0, 0.0], id="antiparallel"
+            ),
+            # The path 0-1-2-3 carries 1.0, and the cycle 1-2-4-1 0.25 on top.
+            pytest.param(
+                [(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0), (2, 4, 2.0), (4, 1, 2.0)],
+                (0, 3, 1.0),
+                [1.0, 1.25, 1.0, 0.25, 0.25],
+                [1.0, 1.0, 1.0, 0.0, 0.0],
+                id="cycle-on-path",
+            ),
+            pytest.param(
+                [(0, 1, 1.0), (0, 1, 1.0)], (0, 1, 1.5), [0.75, 0.75], [0.75, 0.75], id="parallel"
+            ),
+            # The cycle 0-1-2-0 has its smallest flow, 0.5, on two arcs.
+            pytest.param(
+                [(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0)],
+                (0, 1, 1.0),
+                [1.5, 0.5, 0.5],
+                [1.0, 0.0, 0.0],
+                id="tied-minima",
+            ),
+            # A flow at the threshold is not in the support, so closes no cycle.
+            pytest.param(
+                [(0, 1, 2.0), (1, 0, 2.0)],
+                (0, 1, 1.0),
+                [1.0 + THRESHOLD, THRESHOLD],
+                [1.0 + THRESHOLD, THRESHOLD],
+                id="at-threshold",
+            ),
+            pytest.param(
+                [(0, 1, 2.0), (1, 0, 2.0)],
+                (0, 1, 1.0),
+                [1.0 + 2 * THRESHOLD, np.nextafter(THRESHOLD, 1.0)],
+                [1.0 + 2 * THRESHOLD - np.nextafter(THRESHOLD, 1.0), 0.0],
+                id="above-threshold",
+            ),
+        ],
+    )
+    def test_hand_built(self, arcs, commodity, flows, expected, assert_cycles_cancelled):
+        vertex_count = 1 + max(max(tail, head) for tail, head, _ in arcs)
+        inst = Instance(vertex_count, arcs, [commodity])
+        before = np.array([flows])
+        kept = before.copy()
+        after = _cancel_both_ways(inst, before)
+        assert after.tolist() == [expected]
+        assert after is not before and before.tobytes() == kept.tobytes()
+        assert_cycles_cancelled(inst, before, after, THRESHOLD)
+        assert check_feasible(inst, after, 1e-6).ok
+
+    def test_commodities_cancel_apart(self, assert_cycles_cancelled):
+        # Both commodities use the 2-cycle; each loses only its own loop.
+        inst = Instance(3, [(0, 1, 4.0), (1, 0, 4.0), (1, 2, 4.0)], [(0, 2, 1.0), (1, 0, 1.0)])
+        before = np.array([[1.5, 0.5, 1.0], [0.25, 1.25, 0.0]])
+        after = _cancel_both_ways(inst, before)
+        assert after.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert_cycles_cancelled(inst, before, after, THRESHOLD)
+
+    def test_random_supports(self, assert_cycles_cancelled):
+        # Dense random flows on desk networks hold many nested cycles.
+        rng = np.random.default_rng(3)
+        for inst in desk_scale_batch(50, seed=11):
+            before = rng.uniform(0.0, 2.0, (inst.commodity_count, inst.arc_count))
+            before[rng.random(before.shape) < 0.2] = 0.0
+            after = _cancel_both_ways(inst, before)
+            assert_cycles_cancelled(inst, before, after, THRESHOLD)

@@ -1,4 +1,7 @@
+import copy
+import gc
 import math
+import pickle
 import shlex
 import struct
 import shutil
@@ -24,7 +27,9 @@ from stableflow import (
     generate_random_instance,
     objective,
     optimal_slack,
+    parse_instance,
     projected_gradient_residual,
+    serialize_instance,
     solve,
     solve_coordinate,
     solve_pgd,
@@ -398,6 +403,31 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("inst,cfg", _identity_cases())
     def test_matches_python_loop(self, inst, cfg):
         assert_bitwise_same(solve(inst, cfg), _python_only_solve(inst, cfg))
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda inst: pickle.loads(pickle.dumps(inst)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    @pytest.mark.parametrize("cfg", [COORD, PGD], ids=["coordinate", "pgd"])
+    def test_copy_of_a_solved_instance_reads_its_own_arrays(self, copy_of, cfg):
+        # A copy taken after a solve carries the instance's cached arrays.
+        # Once the original is gone and its memory reused, the copy must
+        # still solve and classify as a fresh parse of the same text does.
+        original = desk_scale_batch(1, seed=5)[0]
+        classify(original, solve(original, cfg))
+        copied = copy_of(original)
+        fresh = parse_instance(serialize_instance(original))
+        sizes = [array.shape for array in original._arrays]
+        del original
+        gc.collect()
+        filler = [np.full(shape, np.nan) for shape in sizes for _ in range(8)]
+        result = solve(copied, cfg)
+        expected = solve(fresh, cfg)
+        assert_bitwise_same(result, expected)
+        verdict, expected_verdict = classify(copied, result), classify(fresh, expected)
+        assert verdict.kind is expected_verdict.kind is VerdictKind.FEASIBLE
+        assert verdict.flow.flows.tobytes() == expected_verdict.flow.flows.tobytes()
+        assert verdict.flow.slacks.tobytes() == expected_verdict.flow.slacks.tobytes()
+        del filler
 
     @pytest.mark.parametrize("method", list(Method))
     def test_solves_own_their_arrays(self, method):
