@@ -56,6 +56,8 @@ class _State(ctypes.Structure):
         ("n_arcs", ctypes.c_int64),
         ("n_commodities", ctypes.c_int64),
         ("pgd", ctypes.c_int64),
+        ("iterations", ctypes.c_int64),
+        ("gate", ctypes.c_int64),
         ("use_threshold", ctypes.c_double),
         ("omega", ctypes.c_double),
         ("scale", ctypes.c_double),
@@ -132,16 +134,18 @@ class Kernel:
 
     It owns the solve's state: ``flows``, ``slacks``, ``totals`` and
     ``excesses`` are views of one buffer, which also holds a segment's trace
-    rows, the report and the work arrays. The starting flows and slacks are
-    copied in, and :meth:`derive` fills the rest. The instance's arrays are
-    read in place and not checked again: the instance validated them, and a
-    warm start has passed ``PseudoFlow.validate``. Each iteration is a PGD
-    step with the exact step length when ``pgd`` is true, slope and curvature
-    read in units of ``inst.scale``; otherwise an over-relaxed sweep with
-    factor ``omega``. Once ``gate`` iterations have run, each iteration
-    also tries an extrapolated point (``_sweep.c:extrapolate``); the arrays
-    that needs are allocated then, so a solve that stops sooner never
-    holds them.
+    rows, the report and the work arrays. The extrapolation's arrays are a
+    second array, so a result, whose arrays are views of the buffer, does
+    not keep them alive. Both are made here, and the report's views are
+    sliced here once. The starting flows and slacks are copied in, and
+    :meth:`derive` fills the rest. The instance's arrays are read in place
+    and not checked again: the instance validated them, and a warm start has
+    passed ``PseudoFlow.validate``. Each iteration is a PGD step with the
+    exact step length when ``pgd`` is true, slope and curvature read in
+    units of ``inst.scale``; otherwise an over-relaxed sweep with factor
+    ``omega``. ``sf_run`` counts the iterations, and each one past the
+    first ``gate`` also tries an extrapolated point
+    (``_sweep.c:extrapolate``).
     """
 
     def __init__(
@@ -159,37 +163,45 @@ class Kernel:
         n_commodities = inst.commodity_count
         size = n_commodities * n_arcs
         # The buffer's parts, in order: flows, slacks, totals and excesses;
-        # the trace rows; the report (heights, congestions, multipliers and
-        # both residuals); work: inflow and outflow of one commodity, then for
+        # the trace rows; the report: heights, congestions, multipliers and
+        # both residuals; work: inflow and outflow of one commodity, then for
         # PGD the flow moves, the gaps and the slack moves.
         lengths = (
             size, n_arcs, n_arcs, n_commodities * n_vertices,
             3 * SEGMENT,
-            n_vertices * n_commodities + n_arcs + size + 2,
+            n_vertices * n_commodities, n_arcs, size, 2,
             2 * n_vertices + (size + 2 * n_arcs if pgd else 0),
         )
         offsets = list(itertools.accumulate(lengths, initial=0))
         self._buffer = np.empty(offsets[-1])
-        flows_view, self.slacks, self.totals, excesses, rows, self._report, _ = (
-            self._buffer[start:end] for start, end in zip(offsets, offsets[1:])
-        )
+        (
+            flows_view, self.slacks, self.totals, excesses, rows,
+            heights, self._congestions, multipliers, self._residuals, _,
+        ) = (self._buffer[start:end] for start, end in zip(offsets, offsets[1:]))
         self.flows = flows_view.reshape(n_commodities, n_arcs)
         self.excesses = excesses.reshape(n_commodities, n_vertices)
         self._rows = rows.reshape(SEGMENT, 3)
+        self._heights = heights.reshape(n_vertices, n_commodities)
+        self._multipliers = multipliers.reshape(n_commodities, n_arcs)
         self.flows[...] = flows
         self.slacks[...] = slacks
+        # The last result's flows, then a copy of the kept slacks, totals and
+        # excesses to restore on a restart.
+        self._momentum = np.empty(size + 2 * n_arcs + n_commodities * n_vertices)
         base = _address(self._buffer)
         pointers = [base + 8 * offset for offset in offsets]
         self._rows_ptr, self._report_ptr = pointers[4:6]
         self._state = _State(
             *pointers[:4],
             *map(_address, inst._arrays),
-            pointers[6],
-            None,
+            pointers[9],
+            _address(self._momentum),
             n_vertices,
             n_arcs,
             n_commodities,
             pgd,
+            0,
+            gate,
             use_threshold,
             omega,
             inst.scale,
@@ -198,9 +210,6 @@ class Kernel:
         self._ref = ctypes.byref(self._state)
         self._inst = inst  # holds the arrays the state reads in place
         self._lib = lib
-        self._gate = gate
-        self._iterations = 0
-        self._momentum: np.ndarray | None = None
 
     def derive(self) -> list[float]:
         """Derives totals and excesses from the flows, in place.
@@ -217,29 +226,13 @@ class Kernel:
 
         Returns one (slack-form objective, used residual, unused residual)
         row per iteration run, each of the state that iteration keeps. The
-        run stops early after the first row whose larger residual is <=
-        ``tol`` or NaN, and at the gate when the momentum arrays are not
-        allocated yet; the next call allocates them.
+        run stops early only after the first row whose larger residual is
+        <= ``tol`` or NaN; a segment runs across the gate.
         """
         if not 1 <= n <= len(self._rows):
             raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")
-        if self._momentum is None and self._iterations + n > self._gate:
-            if self._iterations < self._gate:
-                n = self._gate - self._iterations
-            else:
-                self._start_momentum()
         done = self._lib.sf_run(self._ref, tol, n, self._rows_ptr)
-        self._iterations += done
         return self._rows[:done].tolist()
-
-    def _start_momentum(self) -> None:
-        """Allocates the extrapolation's arrays: the last result's flows,
-        seeded with the current ones, then room for a copy of the slacks,
-        totals and excesses."""
-        size = self.flows.size
-        self._momentum = np.empty(size + 2 * self.slacks.size + self.excesses.size)
-        self._momentum[:size] = self.flows.ravel()
-        self._state.momentum = self._momentum.ctypes.data
 
     def report(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
         """Makes the state final and reports on it, as ``stability_report`` does.
@@ -252,18 +245,7 @@ class Kernel:
         overwrites.
         """
         self._lib.sf_report(self._ref, self._report_ptr)
-        n_commodities, n_vertices = self.excesses.shape
-        n_arcs = self.slacks.size
-        congestions_at = n_vertices * n_commodities
-        multipliers_at = congestions_at + n_arcs
-        used, unused = self._report[-2:].tolist()
-        return (
-            self._report[:congestions_at].reshape(n_vertices, n_commodities),
-            self._report[congestions_at:multipliers_at],
-            self._report[multipliers_at:-2].reshape(n_commodities, n_arcs),
-            used,
-            unused,
-        )
+        return (self._heights, self._congestions, self._multipliers, *self._residuals.tolist())
 
 
 def cancel(lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float) -> PseudoFlow:

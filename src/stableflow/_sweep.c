@@ -15,10 +15,11 @@
  *   commodity's directed cycles cancelled, and its slacks.
  *
  * The flows, slacks, totals, excesses and work arrays are views of the one
- * buffer of _kernel.Kernel; the arcs, capacities and demand injection are
- * the Instance's own read-only arrays. The Instance checked its arcs when
- * it was built, and a warm start passed PseudoFlow.validate, so nothing
- * here checks them again.
+ * buffer of _kernel.Kernel, and momentum is the extrapolation's own array;
+ * the Kernel makes both when it binds. The arcs, capacities and demand
+ * injection are the Instance's own arrays, read in place. The Instance
+ * checked its arcs when it was built, and a warm start passed
+ * PseudoFlow.validate, so nothing here checks them again.
  *
  * Each sweep moves a flow to max(0, x - omega * (g/3)). omega is set by
  * the caller (solvers._OMEGA); with omega = 1.0 the product is exactly
@@ -36,18 +37,18 @@
  * report) is the reference and the fallback: every floating-point
  * expression below is the one there or in pseudoflow (_excess_matrix,
  * _flow_scatter, _slack_objective, _scaled_objective, _stability_residuals,
- * stability_report), evaluated in
- * the same order, and the build turns off contraction into fused
- * multiply-adds, so results are bitwise equal to the Python code. Every
- * sum over an array is sequential, left to right in C order.
+ * stability_report), evaluated in the same order, and the build turns off
+ * contraction into fused multiply-adds, so results are bitwise equal to
+ * the Python code. Every sum over an array is sequential, left to right in
+ * C order, and both scatter excesses one commodity at a time.
  *
- * The gate: _kernel.Kernel sets momentum once the solve has run
- * solvers._MOMENTUM_GATE iterations, and allocates its arrays then, so a
- * solve that stops sooner runs plain iterations and never holds them. From
- * then on each iteration's result is extrapolated with FISTA's sequence
- * and kept only if its objective, read in units of the scale, is no larger;
- * otherwise the momentum restarts (see extrapolate, and solvers._extrapolate
- * for the reference).
+ * The gate: sf_run counts the solve's iterations, and the first gate
+ * (solvers._MOMENTUM_GATE) of them are plain. The gate's iteration leaves
+ * its flows in momentum as the last result; from then on each iteration's
+ * result is extrapolated with FISTA's sequence and kept only if its
+ * objective, read in units of the scale, is no larger; otherwise the
+ * momentum restarts (see extrapolate, and solvers._extrapolate for the
+ * reference).
  */
 #include <math.h>
 #include <stdint.h>
@@ -64,11 +65,13 @@ typedef struct {
     const int64_t *heads;    /* (n_arcs,) in [0, n_vertices) */
     const double *injection; /* (n_commodities, n_vertices) demand injection */
     double *work;            /* inflow and outflow (n_vertices each); PGD adds more, see pgd_step */
-    double *momentum;        /* NULL before the gate; then see extrapolate */
+    double *momentum;        /* the last result's flows and a copy of the state; see extrapolate */
     int64_t n_vertices;
     int64_t n_arcs;
     int64_t n_commodities;
     int64_t pgd;             /* nonzero: PGD steps; zero: sweeps */
+    int64_t iterations;      /* iterations run so far */
+    int64_t gate;            /* plain iterations before the first extrapolation */
     double use_threshold;
     double omega;            /* over-relaxation factor of the flow step, in (0, 2) */
     double scale;            /* Instance.scale, a power of two; PGD's and extrapolate's unit */
@@ -126,10 +129,8 @@ static double clip(double v, double cap)
 }
 
 /* inflow and outflow of one commodity's arc values into the first 2V
- * doubles of work, as the bincounts of pseudoflow._flow_scatter: each slot
- * started at 0.0, arcs in order. A slot k*V + v there only takes commodity
- * k's values, so scattering one commodity at a time adds in the same
- * order. */
+ * doubles of work, as the two bincounts pseudoflow._flow_scatter makes per
+ * commodity: each slot started at 0.0, arcs in order. */
 static void scatter(const sf_state *s, const double *flow)
 {
     double *inflow = s->work, *outflow = inflow + s->n_vertices;
@@ -367,12 +368,12 @@ void sf_derive(sf_state *s, double *row)
     residuals(s, row + 1, 0);
 }
 
-/* Up to n iterations, each a sweep or PGD step, then, once momentum is
- * set, an extrapolation; iteration i writes rows[3i .. 3i+2]: the
- * objective and the residuals, all of the state it keeps. Returns the
- * number of rows written, fewer than n only after the first row whose
- * larger residual is <= tol or NaN, the rows that end solvers.solve's
- * loop. */
+/* Up to n iterations, each a sweep or PGD step, then, past the gate, an
+ * extrapolation; the gate's own iteration copies its flows to momentum as
+ * the last result. Iteration i writes rows[3i .. 3i+2]: the objective and
+ * the residuals, all of the state it keeps. Returns the number of rows
+ * written, fewer than n only after the first row whose larger residual is
+ * <= tol or NaN, the rows that end solvers.solve's loop. */
 int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
 {
     for (int64_t i = 0; i < n; i++) {
@@ -381,8 +382,11 @@ int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
             pgd_step(s);
         else
             sweep(s);
-        if (s->momentum)
+        if (++s->iterations > s->gate)
             extrapolate(s);
+        else if (s->iterations == s->gate)
+            for (int64_t j = 0; j < s->n_commodities * s->n_arcs; j++)
+                s->momentum[j] = s->flows[j];
         row[0] = objective(s);
         residuals(s, row + 1, 0);
         const double used = row[1], unused = row[2];

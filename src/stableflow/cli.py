@@ -25,6 +25,7 @@ from .certify import (
 )
 from .model import (
     GenerationError,
+    Instance,
     InstanceError,
     generate_random_instance,
     parse_instance,
@@ -56,10 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_instance(path: str) -> Instance:
+    """The instance in the file at ``path``, or on stdin for '-'."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return parse_instance(text)
+    except (InstanceError, OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,11 +122,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
-    try:
-        inst = parse_instance(_read_input(args.instance))
-    except (InstanceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = _read_instance(args.instance)
     result = solve(inst, cfg)
     verdict = classify(inst, result)
     if args.trace:
@@ -142,14 +142,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if not 0 < args.tol < math.inf:
         raise _UsageError(f"tol must be positive and finite, got {args.tol}")
-    try:
-        inst = parse_instance(_read_input(args.instance))
-    except (InstanceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = _read_instance(args.instance)
     try:
         flows = parse_flow_dump(inst, Path(args.flow).read_text(encoding="utf-8"))
-    except (FlowDumpError, OSError) as exc:
+    except (FlowDumpError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLOW_DUMP
     result = check_feasible(inst, flows, args.tol)
@@ -189,11 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         instances = desk_scale_batch(args.random, args.seed)
     else:
-        try:
-            instances = [parse_instance(_read_input(args.instance))]
-        except (InstanceError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        instances = [_read_instance(args.instance)]
 
     disagreements = 0
     undecided = 0

@@ -194,15 +194,6 @@ class Instance:
             injection,
         )
 
-    @cached_property
-    def excess_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(K·A,) flat (K, V) slots k·V + head and k·V + tail of each (k, a) flow."""
-        base = np.arange(0, self.commodity_count * self.vertex_count, self.vertex_count)[:, None]
-        return (
-            _read_only((base + self.heads).ravel()),
-            _read_only((base + self.tails).ravel()),
-        )
-
 
 def _vertex_ids(kind: str, idx: int, u: object, v: object) -> tuple[int, int]:
     """The endpoints of arc or commodity ``idx`` as ints."""
@@ -368,13 +359,15 @@ def generate_random_instance(
     demands are integers drawn uniformly from the given ranges.
 
     Raises:
-        GenerationError: If ``n_vertices < 2``, a count is negative or a
-            range is invalid.
+        GenerationError: If ``n_vertices < 2``, a count or the seed is
+            negative or a range is invalid.
     """
     if n_vertices < 2:
         raise GenerationError(f"need at least 2 vertices, got {n_vertices}")
     if n_arcs < 0 or n_commodities < 0:
         raise GenerationError("arc and commodity counts must be nonnegative")
+    if seed < 0:
+        raise GenerationError(f"seed must be nonnegative, got {seed}")
     cap_lo, cap_hi = _check_range("cap_range", cap_range)
     dem_lo, dem_hi = _check_range("demand_range", demand_range)
 

@@ -164,8 +164,8 @@ class FeasibilityCheck(NamedTuple):
 def _excess_matrix(inst: Instance, flows: np.ndarray) -> np.ndarray:
     """(K, V) excesses: demand injection + inflow - outflow, per commodity.
 
-    Scatters the flows onto the instance's flat (K·V) head and tail slots:
-    O(K·A) work, and no (A, V) incidence matrix.
+    Scatters each commodity's flows onto the arcs' heads and tails: O(K·A)
+    work, and no (A, V) incidence matrix.
     """
     if flows.shape != (inst.commodity_count, inst.arc_count):
         raise ValueError(
@@ -176,13 +176,13 @@ def _excess_matrix(inst: Instance, flows: np.ndarray) -> np.ndarray:
 
 
 def _flow_scatter(inst: Instance, flows: np.ndarray) -> np.ndarray:
-    """(K, V) inflow - outflow of (K, A) flows, each a bincount started at 0.0."""
-    head_slots, tail_slots = inst.excess_slots
-    flat = flows.ravel()
-    size = inst.injection.size
-    inflow = np.bincount(head_slots, flat, size)
-    outflow = np.bincount(tail_slots, flat, size)
-    return (inflow - outflow).reshape(inst.injection.shape)
+    """(K, V) inflow - outflow of (K, A) flows, one commodity at a time, as
+    ``_sweep.c:scatter``: each a bincount started at 0.0, arcs in order."""
+    heads, tails, n_vertices = inst.heads, inst.tails, inst.vertex_count
+    scatter = np.empty((len(flows), n_vertices))
+    for k, flow in enumerate(flows):
+        scatter[k] = np.bincount(heads, flow, n_vertices) - np.bincount(tails, flow, n_vertices)
+    return scatter
 
 
 def excess(inst: Instance, pf: PseudoFlow, vertex: int, commodity: int) -> float:

@@ -114,6 +114,8 @@ class SolverConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not (type(self.max_iters) is int and self.max_iters >= 1):  # bool is not int
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 class TraceRow(NamedTuple):
@@ -200,18 +202,19 @@ def solve(
 
     When the compiled kernel (``_sweep.c``) can be built and loaded, all
     three steps run in C on the state that :class:`_kernel.Kernel` holds in
-    its one buffer, the result's arrays included: row 0 and the re-check at
-    a stop, segments of up to ``_kernel.SEGMENT`` iterations of either
-    method that return early on a row that stops the loop or at the gate
-    (whose arrays the next segment allocates), and the final flows, slacks,
-    heights, congestions, multipliers and residuals. Only the report's
-    objective is summed in numpy, as :func:`stability_report` sums it; a
-    report with a NaN residual is :func:`stability_report`'s own. Otherwise
-    one iteration at a time runs in :func:`_python_sweep` or
-    :func:`_pgd_step` and :func:`_extrapolate`, the rest in numpy, and the
-    report is :func:`stability_report`'s. Either path copies the starting
-    state once. Both give bitwise the same result; both sum sequentially,
-    left to right.
+    its one buffer, the result's arrays included, and in the extrapolation's
+    arrays, both made when it binds: row 0 and the re-check at a stop,
+    segments of up to ``_kernel.SEGMENT`` iterations of either method that
+    return early only on a row that stops the loop (``sf_run`` counts the
+    gate), and the final flows, slacks, heights, congestions, multipliers
+    and residuals. Only the report's objective is summed in numpy, as
+    :func:`stability_report` sums it; a report with a NaN residual is
+    :func:`stability_report`'s own. Otherwise one iteration at a time runs
+    in :func:`_python_sweep` or :func:`_pgd_step` and :func:`_extrapolate`,
+    the rest in numpy, and the report is :func:`stability_report`'s. Either
+    path copies the starting state once. Both give bitwise the same result;
+    both sum sequentially, left to right, and scatter excesses one commodity
+    at a time.
     """
     cfg = cfg or SolverConfig()
 

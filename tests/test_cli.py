@@ -9,6 +9,13 @@ from stableflow.cli import main
 FEASIBLE = "p mcf 2 1 1\na 1 2 1.0\nc 1 2 1.0\n"
 INFEASIBLE = "p mcf 2 1 1\na 1 2 1.0\nc 1 2 2.0\n"
 CYCLIC = "p mcf 3 4 1\na 3 1 2.0\na 1 3 1.0\na 3 2 3.0\na 2 3 4.0\nc 2 3 4.0\n"
+# The feasible instance with a Latin-1 comment line, which is not UTF-8.
+NOT_UTF8 = b"# caf\xe9\n" + FEASIBLE.encode()
+
+
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.fixture
@@ -65,6 +72,17 @@ class TestSolve:
         assert main(["solve", "-"]) == 0
         assert "verdict FEASIBLE" in capsys.readouterr().out
 
+    def test_not_utf8_exit_ten(self, tmp_path, capsys):
+        path = tmp_path / "binary.mcf"
+        path.write_bytes(NOT_UTF8)
+        assert main(["solve", str(path)]) == 10
+        assert_one_error_line(capsys.readouterr())
+
+    def test_not_utf8_stdin_exit_ten(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), "utf-8"))
+        assert main(["solve", "-"]) == 10
+        assert_one_error_line(capsys.readouterr())
+
     def test_pgd_method_flag(self, instance_file, capsys):
         code = main(["solve", "--method", "pgd", instance_file(INFEASIBLE)])
         assert code == 1
@@ -105,6 +123,7 @@ class TestSolve:
             ["--tol", "inf"],
             ["--tol", "nan"],
             ["--max-iters", "0"],
+            ["--init", "random", "--seed", "-1"],
         ],
     )
     def test_invalid_solver_flag_exit_ten(self, instance_file, capsys, flags):
@@ -140,6 +159,19 @@ class TestCheck:
     def test_missing_flow_file(self, instance_file, capsys):
         code = main(["check", instance_file(FEASIBLE), "--flow", "/nonexistent.dump"])
         assert code == 11
+
+    def test_not_utf8_flow_file_exit_eleven(self, instance_file, tmp_path, capsys):
+        dump = tmp_path / "binary.dump"
+        dump.write_bytes(NOT_UTF8)
+        assert main(["check", instance_file(FEASIBLE), "--flow", str(dump)]) == 11
+        assert_one_error_line(capsys.readouterr())
+
+    def test_not_utf8_instance_exit_ten(self, tmp_path, capsys):
+        inst_path, dump = tmp_path / "binary.mcf", tmp_path / "flow.dump"
+        inst_path.write_bytes(NOT_UTF8)
+        dump.write_text("f 1 1 2 1 1.0\n", encoding="utf-8")
+        assert main(["check", str(inst_path), "--flow", str(dump)]) == 10
+        assert_one_error_line(capsys.readouterr())
 
     def test_mismatched_dump(self, instance_file, tmp_path, capsys):
         inst_path = instance_file(FEASIBLE)
@@ -222,6 +254,10 @@ class TestGenerate:
         code = main(["generate", "--vertices", "1", "--arcs", "0", "--commodities", "0"])
         assert code == 10
 
+    def test_negative_seed_exit_ten(self, capsys):
+        assert main([*self.ARGS[:-1], "-1"]) == 10
+        assert_one_error_line(capsys.readouterr())
+
     def test_integer_flag(self, capsys):
         assert main(self.ARGS + ["--integer"]) == 0
         inst = parse_instance(capsys.readouterr().out)
@@ -252,7 +288,9 @@ class TestVerify:
         assert main(["verify"]) == 10
         assert main(["verify", instance_file(FEASIBLE), "--random", "5"]) == 10
 
-    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iters", "0"]])
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iters", "0"], ["--seed", "-1"]]
+    )
     def test_invalid_solver_flag_exit_ten(self, capsys, flags):
         assert main(["verify", "--random", "2", *flags]) == 10
         captured = capsys.readouterr()

@@ -243,6 +243,11 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="at least 2"):
             generate_random_instance(1, 0, 0, (1, 1), (1, 1), seed=0)
 
+    def test_negative_seed(self):
+        # numpy's default_rng would raise its own ValueError.
+        with pytest.raises(GenerationError, match="seed"):
+            generate_random_instance(3, 1, 1, (1, 1), (1, 1), seed=-1)
+
     def test_bad_range(self):
         with pytest.raises(GenerationError, match="cap_range"):
             generate_random_instance(3, 1, 1, (5, 1), (1, 1), seed=0)

@@ -1,7 +1,9 @@
 import copy
+import ctypes
 import gc
 import math
 import pickle
+import re
 import shlex
 import struct
 import shutil
@@ -77,6 +79,9 @@ class TestConfig:
             {"method": "pgd"},
             {"init": "zero"},
             {"max_iters": True},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"seed": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -828,22 +833,27 @@ class TestMomentum:
         monkeypatch.setattr(_kernel, "SEGMENT", segment)
         assert_bitwise_same(solve(inst, cfg), reference)
 
-    def test_arrays_allocated_at_gate(self):
-        # A solve that stops by the gate never holds the extrapolation's
-        # arrays: a run stops there, and the next run allocates them.
+    @pytest.mark.parametrize("method", list(Method))
+    def test_segment_runs_across_gate(self, method):
+        # sf_run counts the gate itself: one segment from a fresh bind runs
+        # the plain iterations and the extrapolated ones past the gate, as
+        # the Python loop runs them one at a time.
         lib = _kernel.load()
         if lib is None:
             pytest.skip("no compiled kernel on this platform")
+        assert solvers._MOMENTUM_GATE < _kernel.SEGMENT
         inst = _path(20, 1.5)
         flows = np.zeros((inst.commodity_count, inst.arc_count))
+        threshold = solvers._USE_FRACTION * inst.scale
         kernel = _kernel.Kernel(
-            lib, inst, flows, inst.capacities, False, 0.0, solvers._OMEGA, solvers._MOMENTUM_GATE
+            lib, inst, flows, inst.capacities, method is Method.PGD, threshold,
+            solvers._OMEGA, solvers._MOMENTUM_GATE,
         )
         kernel.derive()
-        assert len(kernel.run(NEVER_STABLE, _kernel.SEGMENT)) == solvers._MOMENTUM_GATE
-        assert kernel._momentum is None
-        assert len(kernel.run(NEVER_STABLE, _kernel.SEGMENT)) == _kernel.SEGMENT
-        assert kernel._momentum is not None
+        rows = kernel.run(NEVER_STABLE, _kernel.SEGMENT)
+        cfg = SolverConfig(method=method, tol=1e-300, max_iters=_kernel.SEGMENT)
+        assert rows == _python_only_solve(inst, cfg).rows[1:]
+        assert len(rows) == _kernel.SEGMENT
 
 
 @pytest.fixture
@@ -895,6 +905,20 @@ class TestKernelLoading:
         for method in Method:
             cfg = SolverConfig(method=method, max_iters=5)
             assert solve(_tight_instance(2), cfg).iterations == 5
+
+    def test_state_mirrors_the_c_struct(self):
+        # ctypes lays _State over sf_state by position, so a field out of
+        # step with the C struct reads or writes the wrong memory silently.
+        with open(_kernel.SOURCE, encoding="utf-8") as fh:
+            body = re.search(r"typedef struct \{(.*?)\} sf_state;", fh.read(), re.S).group(1)
+        c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        fields = []
+        for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+            match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", decl)
+            assert match, decl
+            c_type, pointer, name = match.groups()
+            fields.append((name, ctypes.c_void_p if pointer else c_types[c_type]))
+        assert fields == _kernel._State._fields_
 
     def test_source_compiles_without_warnings(self, tmp_path):
         if _system_compiler() is None:
