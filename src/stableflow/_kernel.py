@@ -1,5 +1,5 @@
-"""The compiled per-solve work of both solvers, and the cycle cancelling of a
-FEASIBLE flow, built on first use.
+"""The compiled per-solve work of both solvers, and the crossover of a
+FEASIBLE flow to a basic routing, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
@@ -65,6 +65,22 @@ class _State(ctypes.Structure):
     ]
 
 
+class _Routing(ctypes.Structure):
+    """Mirror of ``sf_routing`` in ``_sweep.c``."""
+
+    _fields_ = [
+        ("flows", ctypes.c_void_p),
+        ("out", ctypes.c_void_p),
+        ("caps", ctypes.c_void_p),
+        ("tails", ctypes.c_void_p),
+        ("heads", ctypes.c_void_p),
+        ("n_vertices", ctypes.c_int64),
+        ("n_arcs", ctypes.c_int64),
+        ("n_commodities", ctypes.c_int64),
+        ("threshold", ctypes.c_double),
+    ]
+
+
 def _compiler() -> list[str]:
     import shlex
     import sysconfig
@@ -120,10 +136,8 @@ def load() -> ctypes.CDLL | None:
         lib.sf_run.restype = ctypes.c_int64
         lib.sf_report.argtypes = [state, ctypes.c_void_p]
         lib.sf_report.restype = None
-        lib.sf_cancel.argtypes = [
-            *[ctypes.c_void_p] * 5, *[ctypes.c_int64] * 3, ctypes.c_double
-        ]
-        lib.sf_cancel.restype = ctypes.c_int64
+        lib.sf_crossover.argtypes = [ctypes.POINTER(_Routing)]
+        lib.sf_crossover.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     return lib
@@ -248,20 +262,23 @@ class Kernel:
         return (self._heights, self._congestions, self._multipliers, *self._residuals.tolist())
 
 
-def cancel(lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float) -> PseudoFlow:
-    """A copy of ``flows`` with each commodity's directed cycles cancelled,
-    as ``pseudoflow._cancel_cycles`` does, and the slacks' optimum for its
-    totals: copy, cancel and slacks in one call to ``_sweep.c:sf_cancel``,
-    into one (K + 1, A) buffer. ``flows`` is a nonempty, C-contiguous,
-    native float64 array of the instance's (K, A) shape."""
+def crossover(
+    lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float
+) -> PseudoFlow:
+    """A basic routing of ``flows``, as ``pseudoflow._crossover`` gives it,
+    and the slacks' optimum for its totals: copy, crossover and slacks in
+    one call to ``_sweep.c:sf_crossover``, into one (K + 1, A) buffer.
+    ``flows`` is a nonempty, C-contiguous, native float64 array of the
+    instance's (K, A) shape."""
     n_commodities, n_arcs = inst.commodity_count, inst.arc_count
     buffer = np.empty((n_commodities + 1, n_arcs))
     caps, tails, heads, _ = inst._arrays
-    if lib.sf_cancel(
+    routing = _Routing(
         _address(flows), _address(buffer), _address(caps), _address(tails), _address(heads),
         inst.vertex_count, n_arcs, n_commodities, threshold,
-    ):
-        raise MemoryError("sf_cancel could not allocate its scratch")
+    )
+    if lib.sf_crossover(ctypes.byref(routing)):
+        raise MemoryError("sf_crossover could not allocate its scratch")
     return PseudoFlow._adopt(buffer[:n_commodities], buffer[n_commodities])
 
 

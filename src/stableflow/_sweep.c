@@ -11,8 +11,9 @@
  *   state is stable or a residual is NaN. Neither method has a stall exit;
  * - sf_report: the final flows and slacks, and the report on them:
  *   heights, congestions, implied multipliers and both residuals;
- * - sf_cancel, for certify.classify: a copy of a FEASIBLE flow with each
- *   commodity's directed cycles cancelled, and its slacks.
+ * - sf_crossover, for certify.classify: a basic routing of a FEASIBLE
+ *   flow, a copy in which each commodity's free arcs form a forest and the
+ *   dust at or below the use threshold is zeroed, and its slacks.
  *
  * The flows, slacks, totals, excesses and work arrays are views of the one
  * buffer of _kernel.Kernel, and momentum is the extrapolation's own array;
@@ -142,16 +143,15 @@ static void scatter(const sf_state *s, const double *flow)
     }
 }
 
-/* flows.sum(axis=0): numpy starts each sum at 0.0 and adds the
- * commodities in order. */
-static void sum_totals(sf_state *s)
+/* flows.sum(axis=0) of (n_commodities, n_arcs) flows into totals: numpy
+ * starts each sum at 0.0 and adds the commodities in order. */
+static void sum_flows(const double *flows, double *totals, int64_t n_arcs, int64_t n_commodities)
 {
-    const int64_t n_arcs = s->n_arcs;
     for (int64_t a = 0; a < n_arcs; a++)
-        s->totals[a] = 0.0;
-    for (int64_t k = 0; k < s->n_commodities; k++)
+        totals[a] = 0.0;
+    for (int64_t k = 0; k < n_commodities; k++)
         for (int64_t a = 0; a < n_arcs; a++)
-            s->totals[a] += s->flows[k * n_arcs + a];
+            totals[a] += flows[k * n_arcs + a];
 }
 
 /* Totals and excesses derived from the flows, as flows.sum(axis=0) and
@@ -160,7 +160,7 @@ static void derive(sf_state *s)
 {
     const int64_t n_vertices = s->n_vertices;
     const double *inflow = s->work, *outflow = inflow + n_vertices;
-    sum_totals(s);
+    sum_flows(s->flows, s->totals, s->n_arcs, s->n_commodities);
     for (int64_t k = 0; k < s->n_commodities; k++) {
         double *excess = s->excesses + k * n_vertices;
         const double *injection = s->injection + k * n_vertices;
@@ -246,7 +246,7 @@ static void pgd_step(sf_state *s)
     }
     for (int64_t a = 0; a < n_arcs; a++)
         s->slacks[a] = clip(s->slacks[a] + t * slack_move[a], s->caps[a]);
-    sum_totals(s);
+    sum_flows(s->flows, s->totals, s->n_arcs, s->n_commodities);
 }
 
 /* out[0]: largest |drop - psi| over pairs whose flow exceeds the use
@@ -421,107 +421,203 @@ void sf_report(sf_state *s, double *out)
     residuals(s, multipliers + n_commodities * n_arcs, multipliers);
 }
 
-/* For certify.classify, as pseudoflow._cancel_cycles: out's first K*A
- * doubles get a copy of flows with each commodity's directed cycles
- * cancelled, and the next A the slacks' optimum for the new totals. An arc
- * is in the support while its flow is above the threshold. Per commodity,
- * one depth-first search: roots ascending, each vertex's out-arcs in arc-id
- * order. An arc into a vertex on the path closes a cycle; the cycle's
- * smallest flow is subtracted from each of its arcs, which puts that arc at
- * 0.0, and the path is cut back to the tail of the cycle's first arc (from
- * the vertex re-entered) at or below the threshold. Flows only fall, so a
- * vertex whose support leads only to finished vertices stays finished, and
- * an arc passed over stays passed. No flow is zeroed except by cancelling.
- * Returns -1, with out unfinished, when the search's scratch cannot be
- * allocated, else 0. */
-int64_t sf_cancel(const double *flows, double *out, const double *caps,
-                  const int64_t *tails, const int64_t *heads, int64_t n_vertices,
-                  int64_t n_arcs, int64_t n_commodities, double threshold)
+/* Arrays and sizes of one crossover, all C-contiguous; mirrored by
+ * _kernel._Routing. */
+typedef struct {
+    const double *flows;  /* (n_commodities, n_arcs) the flows to route */
+    double *out;          /* (n_commodities + 1, n_arcs): the routing, then its slacks */
+    const double *caps;   /* (n_arcs,) */
+    const int64_t *tails; /* (n_arcs,) in [0, n_vertices) */
+    const int64_t *heads; /* (n_arcs,) in [0, n_vertices) */
+    int64_t n_vertices;
+    int64_t n_arcs;
+    int64_t n_commodities;
+    double threshold;     /* flows at or below it are unused */
+} sf_routing;
+
+/* Re-roots v's tree at v and hangs it from `to` by `arc`. */
+static void graft(int64_t *parent, int64_t *up, int64_t v, int64_t to, int64_t arc)
 {
-    const int64_t size = n_commodities * n_arcs;
-    double *slacks = out + size;
-    int64_t *first = malloc(sizeof(int64_t) * (5 * n_vertices + n_arcs + 1));
-    if (!first)
-        return -1;
-    /* v's out-arcs are order[first[v] .. first[v+1]), ascending; next[v]
-     * is the next one to try. place[v] is -1 for a new vertex, -2 for a
-     * finished one, else v's index on the path; via[i] is the arc from
-     * path[i] to path[i+1]. */
-    int64_t *order = first + n_vertices + 1;
-    int64_t *next = order + n_arcs;
-    int64_t *place = next + n_vertices;
-    int64_t *path = place + n_vertices;
-    int64_t *via = path + n_vertices;
-    for (int64_t i = 0; i < size; i++)
-        out[i] = flows[i];
-    for (int64_t v = 0; v <= n_vertices; v++)
-        first[v] = 0;
-    for (int64_t a = 0; a < n_arcs; a++)
-        first[tails[a] + 1]++;
-    for (int64_t v = 0; v < n_vertices; v++) {
-        first[v + 1] += first[v];
-        next[v] = first[v];
+    while (v >= 0) {
+        const int64_t next = parent[v], next_arc = up[v];
+        parent[v] = to;
+        up[v] = arc;
+        to = v;
+        arc = next_arc;
+        v = next;
     }
-    for (int64_t a = 0; a < n_arcs; a++)
-        order[next[tails[a]]++] = a;
+}
+
+/* Moves arc b's flow by delta, up when rising and down otherwise; an arc
+ * whose amount, the room left or the flow, is delta lands exactly on its
+ * room or on 0.0. As pseudoflow._push. */
+static void move(double *flow, const double *room, int64_t b, int64_t rising, double delta)
+{
+    if (rising)
+        flow[b] = room[b] - flow[b] == delta ? room[b] : flow[b] + delta;
+    else
+        flow[b] = flow[b] == delta ? 0.0 : flow[b] - delta;
+}
+
+/* For certify.classify, as pseudoflow._crossover: a basic routing of a
+ * FEASIBLE flow. out's first K*A doubles get a copy of flows in which each
+ * commodity's free arcs form a forest, with flows at or below the threshold
+ * zeroed, and the next A the slacks' optimum for its totals.
+ *
+ * Commodities are routed in order, each against the totals the ones before
+ * it left. An arc's room is max(cap - (total - x), x), so no push raises an
+ * overload, and the arc is free while threshold < x < room - threshold.
+ * The arcs above the threshold are scanned in id order, and the free ones
+ * kept as a forest of parent pointers. A free arc joining two trees links
+ * them. An arc closing a cycle with the tree path between its ends gets a
+ * push around that cycle, as pseudoflow._push gives it; an arc at its room
+ * only when the push lowers it and empties an arc. Then the tree arcs that
+ * left the free set are cut, and the entering arc is linked if it is free.
+ * Each push keeps every excess. An arc the scan has passed is in the
+ * forest, or not free and never moved again, so after the scan the free
+ * arcs are the forest's.
+ *
+ * The routing does not depend on the forest's shape, since an arc closes at
+ * most one cycle with a forest, so this code chooses the shape for speed:
+ * the meeting vertex is found by walking up from both ends in turn, each
+ * marking what it passes, and a link re-roots the shallower end's tree.
+ * Returns -1, with out unfinished, when the scratch cannot be allocated,
+ * else 0. */
+int64_t sf_crossover(const sf_routing *r)
+{
+    const int64_t n_vertices = r->n_vertices, n_arcs = r->n_arcs;
+    const int64_t n_commodities = r->n_commodities, size = n_commodities * n_arcs;
+    const double threshold = r->threshold;
+    const int64_t *tails = r->tails, *heads = r->heads;
+    double *totals = r->out + size; /* the slack row, until the end */
+    int64_t *parent = malloc(sizeof(int64_t) * 7 * n_vertices + sizeof(double) * n_arcs);
+    if (!parent)
+        return -1;
+    /* up[v] is the arc joining v and parent[v]. A walk from the tail marks
+     * the vertices it passes with stamp and lists them in path, one from
+     * the head marks them with stamp + 1 and lists them in to_head; place[v]
+     * is v's index in its list. The cycle's tree arcs are up[path[i]] for
+     * i < n_cycle, and along[i] is 1 when the cycle, run from tail to head
+     * across the entering arc, crosses up[path[i]] forward. */
+    int64_t *up = parent + n_vertices;
+    int64_t *mark = up + n_vertices;
+    int64_t *place = mark + n_vertices;
+    int64_t *path = place + n_vertices;
+    int64_t *to_head = path + n_vertices;
+    int64_t *along = to_head + n_vertices;
+    double *room = (double *)(along + n_vertices);
+    int64_t stamp = 0;
+    for (int64_t v = 0; v < n_vertices; v++)
+        mark[v] = -1;
+    for (int64_t i = 0; i < size; i++)
+        r->out[i] = r->flows[i];
+    sum_flows(r->flows, totals, n_arcs, n_commodities);
 
     for (int64_t k = 0; k < n_commodities; k++) {
-        double *flow = out + k * n_arcs;
-        for (int64_t v = 0; v < n_vertices; v++) {
-            next[v] = first[v];
-            place[v] = -1;
+        double *flow = r->out + k * n_arcs;
+        const double *before = r->flows + k * n_arcs;
+        for (int64_t a = 0; a < n_arcs; a++) {
+            const double limit = r->caps[a] - (totals[a] - before[a]);
+            room[a] = limit >= before[a] ? limit : before[a];
         }
-        for (int64_t root = 0; root < n_vertices; root++) {
-            if (place[root] != -1)
+        for (int64_t v = 0; v < n_vertices; v++)
+            parent[v] = -1;
+#define FREE(b) (threshold < flow[b] && flow[b] < room[b] - threshold)
+        for (int64_t a = 0; a < n_arcs; a++) {
+            if (!(flow[a] > threshold))
                 continue;
-            int64_t depth = 0;
-            path[0] = root;
-            place[root] = 0;
-            while (depth >= 0) {
-                const int64_t v = path[depth];
-                while (next[v] < first[v + 1]) {
-                    const int64_t a = order[next[v]];
-                    if (flow[a] > threshold && place[heads[a]] != -2)
+            const int64_t at_room = !FREE(a);
+            const int64_t tail = tails[a], head = heads[a];
+            int64_t n_tail = 1, n_head = 1, u = tail, w = head, meet = -1;
+            path[0] = tail;
+            to_head[0] = head;
+            mark[tail] = stamp;
+            mark[head] = stamp + 1;
+            place[tail] = place[head] = 0;
+            while (u >= 0 || w >= 0) {
+                if (u >= 0 && (u = parent[u]) >= 0) {
+                    path[n_tail++] = u;
+                    if (mark[u] == stamp + 1) {
+                        meet = u;
+                        n_head = place[u] + 1;
                         break;
-                    next[v]++;
+                    }
+                    mark[u] = stamp;
+                    place[u] = n_tail - 1;
                 }
-                if (next[v] == first[v + 1]) {
-                    place[v] = -2;
-                    depth--;
-                    continue;
+                if (w >= 0 && (w = parent[w]) >= 0) {
+                    to_head[n_head++] = w;
+                    if (mark[w] == stamp) {
+                        meet = w;
+                        n_tail = place[w] + 1;
+                        break;
+                    }
+                    mark[w] = stamp + 1;
+                    place[w] = n_head - 1;
                 }
-                const int64_t a = order[next[v]], w = heads[a];
-                via[depth] = a;
-                if (place[w] == -1) {
-                    path[++depth] = w;
-                    place[w] = depth;
-                    continue;
-                }
-                /* via[place[w] .. depth] is a cycle through w. */
-                double least = flow[a];
-                for (int64_t i = place[w]; i < depth; i++)
-                    if (flow[via[i]] < least)
-                        least = flow[via[i]];
-                int64_t cut = -1;
-                for (int64_t i = place[w]; i <= depth; i++) {
-                    flow[via[i]] -= least;
-                    if (cut < 0 && flow[via[i]] <= threshold)
-                        cut = i;
-                }
-                for (int64_t i = cut + 1; i <= depth; i++)
-                    place[path[i]] = -1;
-                depth = cut;
             }
+            stamp += 2;
+            /* Each end's depth: its path's length, or after a push the
+             * index of the first cut on it. */
+            int64_t depth_tail = n_tail - 1, depth_head = n_head - 1;
+            if (meet >= 0) {
+                /* lowered[j] and raised[j]: the least flow among the arcs
+                 * that the way raising the along arcs (j = 1), or lowering
+                 * them (j = 0), lowers, and the least room left among those
+                 * it raises. */
+                const int64_t n_cycle = n_tail + n_head - 2;
+                double lowered[2] = {flow[a], INFINITY};
+                double raised[2] = {INFINITY, room[a] - flow[a]};
+                for (int64_t i = 0; i < n_cycle; i++) {
+                    if (i >= n_tail - 1)
+                        path[i] = to_head[i - n_tail + 1];
+                    const int64_t v = path[i], b = up[v];
+                    const int64_t forward = along[i] = (i < n_tail - 1 ? heads[b] : tails[b]) == v;
+                    if (flow[b] < lowered[!forward])
+                        lowered[!forward] = flow[b];
+                    if (room[b] - flow[b] < raised[forward])
+                        raised[forward] = room[b] - flow[b];
+                }
+                const int64_t fills0 = raised[0] < lowered[0], fills1 = raised[1] < lowered[1];
+                if (at_room && fills0)
+                    continue;
+                const double delta0 = fills0 ? raised[0] : lowered[0];
+                const double delta1 = fills1 ? raised[1] : lowered[1];
+                const int64_t raise_along =
+                    !at_room && (fills1 < fills0 || (fills1 == fills0 && delta1 < delta0));
+                const double delta = raise_along ? delta1 : delta0;
+                move(flow, room, a, raise_along, delta);
+                depth_tail = depth_head = n_vertices;
+                for (int64_t i = n_cycle - 1; i >= 0; i--) {
+                    const int64_t b = up[path[i]];
+                    move(flow, room, b, along[i] == raise_along, delta);
+                    if (FREE(b))
+                        continue;
+                    parent[path[i]] = -1;
+                    if (i < n_tail - 1)
+                        depth_tail = i;
+                    else
+                        depth_head = i - (n_tail - 1);
+                }
+            }
+            if (!FREE(a))
+                continue;
+            if (depth_tail < depth_head)
+                graft(parent, up, tail, head, a);
+            else
+                graft(parent, up, head, tail, a);
         }
+#undef FREE
+        for (int64_t a = 0; a < n_arcs; a++)
+            totals[a] += flow[a] - before[a];
     }
 
+    for (int64_t i = 0; i < size; i++)
+        if (r->out[i] <= threshold)
+            r->out[i] = 0.0;
+    sum_flows(r->out, totals, n_arcs, n_commodities);
     for (int64_t a = 0; a < n_arcs; a++)
-        slacks[a] = 0.0;
-    for (int64_t k = 0; k < n_commodities; k++)
-        for (int64_t a = 0; a < n_arcs; a++)
-            slacks[a] += out[k * n_arcs + a];
-    for (int64_t a = 0; a < n_arcs; a++)
-        slacks[a] = clip(caps[a] - slacks[a], caps[a]);
-    free(first);
+        totals[a] = clip(r->caps[a] - totals[a], r->caps[a]);
+    free(parent);
     return 0;
 }

@@ -22,12 +22,12 @@ from enum import Enum
 import numpy as np
 
 from . import _kernel
-from .model import Instance, generate_random_instance
+from .model import GenerationError, Instance, generate_random_instance
 from .pseudoflow import (
     PseudoFlow,
     StabilityReport,
     _USE_FRACTION,
-    _cancel_cycles,
+    _crossover,
     _scaled_objective,
     check_feasible,
     write_flow_dump,
@@ -53,9 +53,10 @@ class VerdictKind(Enum):
 class Verdict:
     """Outcome of classification.
 
-    ``flow`` is present exactly for FEASIBLE verdicts: a copy of the solve's
-    flow with each commodity's directed cycles cancelled (``_sweep.c:
-    sf_cancel``), the routing that was re-checked and is dumped; the
+    ``flow`` is present exactly for FEASIBLE verdicts: a basic routing of
+    the solve's flow (``_sweep.c:sf_crossover``), in which each commodity's
+    free arcs form a forest and flows at or below ``1e-9 * scale`` are
+    zeroed; it is the routing that was re-checked and is dumped, and the
     ``SolveResult`` keeps the solve's own. ``certificate`` (the stability
     report of the converged nonzero state: heights, congestions, objective)
     is present exactly for INFEASIBLE verdicts. ``report`` is the solve's
@@ -78,9 +79,9 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     objective <= 1e-9 means FEASIBLE, one > 10 times that means INFEASIBLE
     with the state as certificate. Anything else, including unconverged
     results and the gray zone between the thresholds, is UNDECIDED. A
-    FEASIBLE flow gets each commodity's directed cycles cancelled, on a
-    copy, and is then re-checked directly at 1e-6 * s before being
-    returned; a flow that fails that check demotes the verdict to UNDECIDED.
+    FEASIBLE flow is crossed over to a basic routing, on a copy, and that
+    routing is re-checked directly at 1e-6 * s before being returned; a
+    routing that fails that check demotes the verdict to UNDECIDED.
     """
     scale = inst.scale
     zero_tol = 1e-9
@@ -88,7 +89,7 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     objective = _scaled_objective(report.congestions, report.heights, scale)
     stable = report.max_residual <= result.config.tol * scale
     if stable and objective <= zero_tol:
-        flow = _acyclic(inst, result.flow.flows)
+        flow = _basic(inst, result.flow.flows)
         if check_feasible(inst, flow.flows, 1e-6 * scale).ok:
             return Verdict(VerdictKind.FEASIBLE, flow, None, report)
         return Verdict(VerdictKind.UNDECIDED, None, None, report)
@@ -97,20 +98,19 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
     return Verdict(VerdictKind.UNDECIDED, None, None, report)
 
 
-def _acyclic(inst: Instance, flows: np.ndarray) -> PseudoFlow:
-    """A copy of ``flows`` with each commodity's directed cycles cancelled,
-    and the slacks' optimum for it: ``_sweep.c:sf_cancel`` in one call, or
-    ``pseudoflow._cancel_cycles`` when the kernel cannot be loaded or there
-    are no flows."""
+def _basic(inst: Instance, flows: np.ndarray) -> PseudoFlow:
+    """A basic routing of ``flows``, a copy, and the slacks' optimum for it:
+    ``_sweep.c:sf_crossover`` in one call, or ``pseudoflow._crossover`` when
+    the kernel cannot be loaded or there are no flows."""
     shape = (inst.commodity_count, inst.arc_count)
     if flows.shape != shape or flows.dtype.char != "d":
         raise ValueError(f"flows must be a float64 array of shape {shape}")
     threshold = _USE_FRACTION * inst.scale
     lib = _kernel.load()
     if lib is not None and flows.size:  # the kernel takes no empty array
-        return _kernel.cancel(lib, inst, np.ascontiguousarray(flows, dtype=float), threshold)
-    cancelled = _cancel_cycles(inst, flows, threshold)
-    return PseudoFlow._adopt(cancelled, _optimal_slacks(cancelled.sum(axis=0), inst.capacities))
+        return _kernel.crossover(lib, inst, np.ascontiguousarray(flows, dtype=float), threshold)
+    routed = _crossover(inst, flows, threshold)
+    return PseudoFlow._adopt(routed, _optimal_slacks(routed.sum(axis=0), inst.capacities))
 
 
 def render_verdict_report(
@@ -277,7 +277,14 @@ def desk_scale_batch(count: int, seed: int) -> list[Instance]:
 
     Sizes stay within the oracle guideline: 2..6 vertices, 1..10 arcs,
     1..3 commodities, capacities and demands integers in [1, 5].
+
+    Raises:
+        GenerationError: If ``count`` or ``seed`` is negative.
     """
+    if count < 0:
+        raise GenerationError(f"count must be nonnegative, got {count}")
+    if seed < 0:
+        raise GenerationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     batch = []
     for _ in range(count):

@@ -211,9 +211,9 @@ class TestCheck:
         dump.write_text("\n".join(dump_lines) + "\n", encoding="utf-8")
         assert main(["check", inst_path, "--flow", str(dump)]) == 0
 
-    def test_solve_dump_has_cycles_cancelled(self, instance_file, tmp_path, capsys):
-        # The solve routes this commodity around both 2-cycles; the dump
-        # drops those loops, and still passes check.
+    def test_solve_dump_is_basic_routing(self, instance_file, tmp_path, capsys):
+        # The solve routes this commodity around both 2-cycles; the dump is
+        # a basic routing, without those loops, and still passes check.
         inst_path = instance_file(CYCLIC)
         assert main(["solve", inst_path]) == 0
         out = capsys.readouterr().out

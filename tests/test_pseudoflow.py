@@ -22,7 +22,7 @@ from stableflow import (
     write_flow_dump,
 )
 from stableflow import _kernel
-from stableflow.pseudoflow import _cancel_cycles, _excess_matrix
+from stableflow.pseudoflow import _crossover, _excess_matrix
 
 
 def random_point(inst, rng, low=0.01):
@@ -421,12 +421,12 @@ class TestFlowDump:
 THRESHOLD = 1e-9  # the use threshold at scale 1.0, a largest demand in [1, 2)
 
 
-def _cancel_both_ways(inst, flows):
-    """The Python reference's cancelled flows; the compiled ones must be bitwise equal."""
-    reference = _cancel_cycles(inst, flows, THRESHOLD)
+def _route_both_ways(inst, flows):
+    """The Python reference's routing; the compiled one must be bitwise equal."""
+    reference = _crossover(inst, flows, THRESHOLD)
     lib = _kernel.load()
     if lib is not None:
-        compiled = _kernel.cancel(lib, inst, flows, THRESHOLD)
+        compiled = _kernel.crossover(lib, inst, flows, THRESHOLD)
         assert compiled.flows.tobytes() == reference.tobytes()
         caps = inst.capacities
         assert compiled.slacks.tobytes() == np.clip(caps - reference.sum(axis=0), 0, caps).tobytes()
@@ -434,6 +434,9 @@ def _cancel_both_ways(inst, flows):
 
 
 class TestCancelCycles:
+    """The crossover to a basic routing, which cancels each commodity's
+    undirected cycles of free arcs."""
+
     @pytest.mark.parametrize(
         "arcs,commodity,flows,expected",
         [
@@ -448,8 +451,24 @@ class TestCancelCycles:
                 [1.0, 1.0, 1.0, 0.0, 0.0],
                 id="cycle-on-path",
             ),
+            # The paths 0-1-3 and 0-2-3 close an undirected cycle; both ways
+            # empty a path by 0.75, and the tie goes to the way that lowers
+            # the entering arc, 2-3.
             pytest.param(
-                [(0, 1, 1.0), (0, 1, 1.0)], (0, 1, 1.5), [0.75, 0.75], [0.75, 0.75], id="parallel"
+                [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)],
+                (0, 3, 1.5),
+                [0.75, 0.75, 0.75, 0.75],
+                [1.5, 1.5, 0.0, 0.0],
+                id="parallel",
+            ),
+            # Either way fills an arc by 0.25 before it empties one, so arc 1
+            # lands exactly on its capacity and arc 2 stays free.
+            pytest.param(
+                [(0, 1, 1.0), (0, 1, 1.0)],
+                (0, 1, 1.5),
+                [0.75, 0.75],
+                [1.0, 0.5],
+                id="fill-to-room",
             ),
             # The cycle 0-1-2-0 has its smallest flow, 0.5, on two arcs.
             pytest.param(
@@ -459,12 +478,13 @@ class TestCancelCycles:
                 [1.0, 0.0, 0.0],
                 id="tied-minima",
             ),
-            # A flow at the threshold is not in the support, so closes no cycle.
+            # A flow at the threshold is not free, so closes no cycle; it is
+            # dust, and zeroed.
             pytest.param(
                 [(0, 1, 2.0), (1, 0, 2.0)],
                 (0, 1, 1.0),
                 [1.0 + THRESHOLD, THRESHOLD],
-                [1.0 + THRESHOLD, THRESHOLD],
+                [1.0 + THRESHOLD, 0.0],
                 id="at-threshold",
             ),
             pytest.param(
@@ -474,32 +494,55 @@ class TestCancelCycles:
                 [1.0 + 2 * THRESHOLD - np.nextafter(THRESHOLD, 1.0), 0.0],
                 id="above-threshold",
             ),
+            # The push around 0-1-2-0 leaves arc 1 at exactly the threshold
+            # (2.5e-9 - 1.5e-9), so it is cut, and zeroed; arc 3 then links
+            # 1 and 2 rather than closing a cycle with arc 1, and arc 4
+            # closes one with arc 3.
+            pytest.param(
+                [(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0), (1, 2, 2.0), (2, 1, 2.0)],
+                (0, 1, 1.0),
+                [1.0 + 1.5e-9, 2.5e-9, 1.5e-9, 0.25, 0.25 + 1e-9],
+                [(1.0 + 1.5e-9) - 1.5e-9, 0.0, 0.0, 0.0, (0.25 + 1e-9) - 0.25],
+                id="cut-at-threshold",
+            ),
         ],
     )
-    def test_hand_built(self, arcs, commodity, flows, expected, assert_cycles_cancelled):
+    def test_hand_built(self, arcs, commodity, flows, expected, assert_basic_routing):
         vertex_count = 1 + max(max(tail, head) for tail, head, _ in arcs)
         inst = Instance(vertex_count, arcs, [commodity])
         before = np.array([flows])
         kept = before.copy()
-        after = _cancel_both_ways(inst, before)
+        after = _route_both_ways(inst, before)
         assert after.tolist() == [expected]
         assert after is not before and before.tobytes() == kept.tobytes()
-        assert_cycles_cancelled(inst, before, after, THRESHOLD)
+        assert_basic_routing(inst, before, after, THRESHOLD)
         assert check_feasible(inst, after, 1e-6).ok
 
-    def test_commodities_cancel_apart(self, assert_cycles_cancelled):
+    def test_commodities_cancel_apart(self, assert_basic_routing):
         # Both commodities use the 2-cycle; each loses only its own loop.
         inst = Instance(3, [(0, 1, 4.0), (1, 0, 4.0), (1, 2, 4.0)], [(0, 2, 1.0), (1, 0, 1.0)])
         before = np.array([[1.5, 0.5, 1.0], [0.25, 1.25, 0.0]])
-        after = _cancel_both_ways(inst, before)
+        after = _route_both_ways(inst, before)
         assert after.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        assert_cycles_cancelled(inst, before, after, THRESHOLD)
+        assert_basic_routing(inst, before, after, THRESHOLD)
 
-    def test_random_supports(self, assert_cycles_cancelled):
+    def test_commodities_share_a_tight_arc(self, assert_basic_routing):
+        # The first commodity fills arc 1 to its capacity, so the second
+        # finds no room left there and keeps its flows. Read against the
+        # totals before the first moved, arc 1 would have had 0.5 of room
+        # for the second, and the routing would overload it by 0.5.
+        inst = Instance(2, [(0, 1, 2.0), (0, 1, 2.0)], [(0, 1, 1.0), (0, 1, 1.5)])
+        before = np.array([[0.5, 0.5], [1.0, 0.5]])
+        after = _route_both_ways(inst, before)
+        assert after.tolist() == [[1.0, 0.0], [1.0, 0.5]]
+        assert_basic_routing(inst, before, after, THRESHOLD)
+        assert check_feasible(inst, after, 0.0).ok
+
+    def test_random_supports(self, assert_basic_routing):
         # Dense random flows on desk networks hold many nested cycles.
         rng = np.random.default_rng(3)
         for inst in desk_scale_batch(50, seed=11):
             before = rng.uniform(0.0, 2.0, (inst.commodity_count, inst.arc_count))
             before[rng.random(before.shape) < 0.2] = 0.0
-            after = _cancel_both_ways(inst, before)
-            assert_cycles_cancelled(inst, before, after, THRESHOLD)
+            after = _route_both_ways(inst, before)
+            assert_basic_routing(inst, before, after, THRESHOLD)

@@ -404,6 +404,20 @@ def _loop_sum_of_squares(values):
     return total
 
 
+def _c_struct_fields(name):
+    """(name, ctypes type) of each field of the typedef ``name`` in the kernel source."""
+    with open(_kernel.SOURCE, encoding="utf-8") as fh:
+        body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", fh.read()).group(1)
+    c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", decl)
+        assert match, decl
+        c_type, pointer, field = match.groups()
+        fields.append((field, ctypes.c_void_p if pointer else c_types[c_type]))
+    return fields
+
+
 class TestCompiledKernel:
     @pytest.mark.parametrize("inst,cfg", _identity_cases())
     def test_matches_python_loop(self, inst, cfg):
@@ -815,8 +829,8 @@ class TestMomentum:
     @pytest.mark.parametrize("method", list(Method))
     def test_extrapolation_matches_python_loop(self, monkeypatch, method, segment):
         # Past the gate some extrapolations are kept and some restart; the
-        # compiled path agrees bit for bit across segment boundaries, the
-        # gate's split of a segment included.
+        # compiled path agrees bit for bit across segment boundaries, and
+        # where the gate falls inside a segment.
         inst = _path(20, 1.5)
         cfg = SolverConfig(method=method)
         thetas = []
@@ -909,16 +923,10 @@ class TestKernelLoading:
     def test_state_mirrors_the_c_struct(self):
         # ctypes lays _State over sf_state by position, so a field out of
         # step with the C struct reads or writes the wrong memory silently.
-        with open(_kernel.SOURCE, encoding="utf-8") as fh:
-            body = re.search(r"typedef struct \{(.*?)\} sf_state;", fh.read(), re.S).group(1)
-        c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-        fields = []
-        for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
-            match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", decl)
-            assert match, decl
-            c_type, pointer, name = match.groups()
-            fields.append((name, ctypes.c_void_p if pointer else c_types[c_type]))
-        assert fields == _kernel._State._fields_
+        assert _c_struct_fields("sf_state") == _kernel._State._fields_
+
+    def test_routing_mirrors_the_c_struct(self):
+        assert _c_struct_fields("sf_routing") == _kernel._Routing._fields_
 
     def test_source_compiles_without_warnings(self, tmp_path):
         if _system_compiler() is None:
