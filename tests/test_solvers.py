@@ -39,6 +39,7 @@ from stableflow import (
 )
 from stableflow import _kernel, solvers
 from stableflow.pseudoflow import (
+    _USE_FRACTION,
     _excess_matrix,
     _slack_objective,
     _stability_residuals,
@@ -418,6 +419,33 @@ def _c_struct_fields(name):
     return fields
 
 
+# Two components: commodity 0 routes 0 -> 1 -> 2, and arcs 2 and 3
+# (3 -> 4 -> 5) carry none of its flow. Each case gives commodity 1's flows
+# and puts a NaN on one (commodity, arc) flow. "apart": on arc 2, whose
+# endpoints no used pair of commodity 0 touches and which commodity 1 does
+# not use, so only unused pairs get a NaN gap. "excess": on arc 1 of
+# commodity 0, whose NaN excess at vertex 1 reaches its used arc 0.
+# "congestion": on arc 2 of commodity 0, which commodity 1 uses, so the NaN
+# total reaches a used pair.
+NAN_FLAG_CASES = {
+    "apart": ((0, 2), [0.0, 0.0, 0.0, 0.0], False),
+    "excess": ((0, 1), [0.5, 0.0, 0.0, 0.0], True),
+    "congestion": ((0, 2), [0.5, 0.0, 0.75, 0.0], True),
+}
+
+
+def _nan_flag_case(name):
+    (k, a), other, used_is_nan = NAN_FLAG_CASES[name]
+    inst = Instance(
+        6,
+        [(0, 1, 1.25), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)],
+        [(0, 2, 1.5), (0, 1, 0.5)],
+    )
+    flows = np.array([[1.5, 1.0, 0.0, 0.0], other])
+    flows[k, a] = math.nan
+    return inst, flows, used_is_nan
+
+
 class TestCompiledKernel:
     @pytest.mark.parametrize("inst,cfg", _identity_cases())
     def test_matches_python_loop(self, inst, cfg):
@@ -509,6 +537,7 @@ class TestCompiledKernel:
             (3, 130, 2),
             (67, 301, 3),
             (8200, 8200, 1),
+            (300, 3000, 20),
         ],
     )
     def test_sweep_and_residuals_match_reference(self, shape):
@@ -560,6 +589,37 @@ class TestCompiledKernel:
         segment, start = bind()
         assert segment.run(NEVER_STABLE, 3) == rows
         assert all(a.tobytes() == b.tobytes() for a, b in zip(start, reference))
+
+    @pytest.mark.parametrize("case", list(NAN_FLAG_CASES))
+    def test_nan_residual_only_where_a_nan_gap_is_covered(self, case):
+        # The kernel's residual pass skips a NaN gap in its maxima and flags
+        # it instead: the used residual is NaN only when a used pair's gap
+        # is, and otherwise keeps the finite maximum that numpy finds.
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel on this platform")
+        inst, flows, used_is_nan = _nan_flag_case(case)
+        caps, tails, heads = inst.capacities, inst.tails, inst.heads
+        threshold = _USE_FRACTION * inst.scale
+        with np.errstate(all="ignore"):
+            used, unused, multipliers = _stability_residuals(
+                flows, flows.sum(axis=0), _excess_matrix(inst, flows), caps, tails, heads, threshold
+            )
+        assert math.isnan(used) is used_is_nan
+        assert math.isnan(unused)
+        assert used_is_nan or used > 0.0
+        kernel = _kernel.Kernel(
+            lib, inst, flows, caps, False, threshold, solvers._OMEGA, solvers._MOMENTUM_GATE
+        )
+        _, derived_used, derived_unused = kernel.derive()
+        *_, report_multipliers, report_used, report_unused = kernel.report()
+        for got_used, got_unused in [(derived_used, derived_unused), (report_used, report_unused)]:
+            assert math.isnan(got_unused)
+            if used_is_nan:
+                assert math.isnan(got_used)
+            else:
+                assert struct.pack("<d", got_used) == struct.pack("<d", used)
+        assert np.array_equal(report_multipliers, multipliers, equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(5, 12, 3), (4, 0, 2), (4, 6, 0), (2, 1, 1), (67, 301, 3)])
     def test_pgd_step_matches_reference(self, shape):
