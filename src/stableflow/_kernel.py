@@ -1,12 +1,13 @@
-"""The compiled per-solve work of both solvers, and the crossover of a
-FEASIBLE flow to a basic routing, built on first use.
+"""The compiled per-solve work of both solvers, the crossover of a
+FEASIBLE flow to a basic routing and the reader of canonical instance
+texts, built on first use.
 
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
 carries a CRC of the source, the flags and the platform, so an edited source
 or another machine gets its own build. :func:`load` returns None when the
-library cannot be built or loaded, and callers then run the Python loop,
-which gives bitwise the same results.
+library cannot be built or loaded, and callers then run their Python
+code, which gives bitwise the same results.
 
 A cache hit imports nothing beyond what numpy already has loaded; the
 compiler is looked up and run only on a miss.
@@ -81,6 +82,21 @@ class _Routing(ctypes.Structure):
     ]
 
 
+class _Text(ctypes.Structure):
+    """Mirror of ``sf_text`` in ``_sweep.c``."""
+
+    _fields_ = [
+        ("text", ctypes.c_char_p),
+        ("length", ctypes.c_int64),
+        ("ids", ctypes.c_void_p),
+        ("values", ctypes.c_void_p),
+        ("capacity", ctypes.c_int64),
+        ("n_vertices", ctypes.c_int64),
+        ("n_arcs", ctypes.c_int64),
+        ("n_commodities", ctypes.c_int64),
+    ]
+
+
 def _compiler() -> list[str]:
     import shlex
     import sysconfig
@@ -138,6 +154,8 @@ def load() -> ctypes.CDLL | None:
         lib.sf_report.restype = None
         lib.sf_crossover.argtypes = [ctypes.POINTER(_Routing)]
         lib.sf_crossover.restype = ctypes.c_int64
+        lib.sf_parse.argtypes = [ctypes.POINTER(_Text)]
+        lib.sf_parse.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     return lib
@@ -280,6 +298,23 @@ def crossover(
     if lib.sf_crossover(ctypes.byref(routing)):
         raise MemoryError("sf_crossover could not allocate its scratch")
     return PseudoFlow._adopt(buffer[:n_commodities], buffer[n_commodities])
+
+
+def parse(lib: ctypes.CDLL, text: str) -> Instance | None:
+    """The instance of an ASCII ``text`` that ``_sweep.c:sf_parse`` reads,
+    else None; ValidationError if it violates a model invariant."""
+    data = text.encode()
+    # The problem line takes at least 11 bytes and each further line 8, so
+    # the text, not the counts it declares, sizes the buffers.
+    capacity = len(data) // 8
+    ids, values = np.empty(2 * capacity, dtype=np.int64), np.empty(capacity)
+    parsed = _Text(data, len(data), _address(ids), _address(values), capacity)
+    if lib.sf_parse(ctypes.byref(parsed)):
+        return None
+    size = parsed.n_arcs + parsed.n_commodities
+    return Instance._from_columns(
+        parsed.n_vertices, parsed.n_arcs, ids[: 2 * size].reshape(2, size), values[:size]
+    )
 
 
 def _address(array: np.ndarray) -> int:

@@ -1,5 +1,5 @@
-/* The per-solve work of both solvers of the slack-form objective, for
- * solvers.solve:
+/* The compiled work of stableflow: per solve, that of both solvers of the
+ * slack-form objective, for solvers.solve; the crossover; and the reader:
  *
  * - sf_derive: totals and excesses derived from the flows, and the trace
  *   row of that state; row 0 and the re-check at a stop;
@@ -13,7 +13,10 @@
  *   heights, congestions, implied multipliers and both residuals;
  * - sf_crossover, for certify.classify: a basic routing of a FEASIBLE
  *   flow, a copy in which each commodity's free arcs form a forest and the
- *   dust at or below the use threshold is zeroed, and its slacks.
+ *   dust at or below the use threshold is zeroed, and its slacks;
+ * - sf_parse, for model.parse_instance: the numbers of a canonical instance
+ *   text, read in one pass, or a refusal that sends the text to the Python
+ *   parser (model._parse_python), which is the reference for it.
  *
  * The flows, slacks, totals, excesses and work arrays are views of the one
  * buffer of _kernel.Kernel, and momentum is the extrapolation's own array;
@@ -629,5 +632,149 @@ int64_t sf_crossover(const sf_routing *r)
     for (int64_t a = 0; a < n_arcs; a++)
         totals[a] = clip(r->caps[a] - totals[a], r->caps[a]);
     free(parent);
+    return 0;
+}
+
+/* One instance text and the buffers its numbers go to; mirrored by
+ * _kernel._Text. sf_parse sets the counts. */
+typedef struct {
+    const char *text;      /* length bytes, then a NUL */
+    int64_t length;
+    int64_t *ids;          /* (2 * capacity,) */
+    double *values;        /* (capacity,) */
+    int64_t capacity;      /* most arcs plus commodities the buffers hold */
+    int64_t n_vertices;
+    int64_t n_arcs;
+    int64_t n_commodities;
+} sf_text;
+
+/* Whether a token ends at p: a blank, a newline or the text's end. */
+static int token_end(const char *p, const char *end)
+{
+    return p == end || *p == ' ' || *p == '\t' || *p == '\n';
+}
+
+static const char *blanks(const char *p, const char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t'))
+        p++;
+    return p;
+}
+
+static const char *digits(const char *p, const char *end)
+{
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* The end of the token at p if it is the word w, else NULL. */
+static const char *word(const char *p, const char *end, const char *w)
+{
+    for (; *w; p++, w++)
+        if (p == end || *p != *w)
+            return NULL;
+    return token_end(p, end) ? p : NULL;
+}
+
+/* Reads the unsigned decimal of 1 to 18 digits at p, which fits an
+ * int64_t; returns the token's end, or NULL for any other token. */
+static const char *integer(const char *p, const char *end, int64_t *out)
+{
+    const char *stop = digits(p, end);
+    if (stop == p || stop - p > 18 || !token_end(stop, end))
+        return NULL;
+    int64_t value = 0;
+    for (; p < stop; p++)
+        value = 10 * value + (*p - '0');
+    *out = value;
+    return stop;
+}
+
+/* Reads the real digits[.digits][(e|E)[+|-]digits] at p; returns the
+ * token's end, or NULL for any other token. strtod rounds correctly, as
+ * Python's float does, but reads the locale's decimal point; the value is
+ * kept only if strtod stops at the token's end, so under a comma-decimal
+ * LC_NUMERIC a token with a '.' is refused rather than misread. */
+static const char *real(const char *p, const char *end, double *out)
+{
+    const char *stop = digits(p, end), *part;
+    if (stop == p)
+        return NULL;
+    if (stop < end && *stop == '.') {
+        part = stop + 1;
+        if ((stop = digits(part, end)) == part)
+            return NULL;
+    }
+    if (stop < end && (*stop == 'e' || *stop == 'E')) {
+        part = stop + 1;
+        if (part < end && (*part == '+' || *part == '-'))
+            part++;
+        if ((stop = digits(part, end)) == part)
+            return NULL;
+    }
+    if (!token_end(stop, end))
+        return NULL;
+    char *parsed;
+    *out = strtod(p, &parsed);
+    return parsed == stop ? stop : NULL;
+}
+
+/* For model.parse_instance: reads a canonical instance text in one pass.
+ * The text is ASCII; its first line is 'p mcf V A K', and each further
+ * line is 'a tail head capacity' or 'c source sink demand', in any order.
+ * Tokens are separated by blanks (spaces and tabs) and lines by '\n'; the
+ * last newline is optional. Every id and count is an unsigned decimal of
+ * at most 18 digits, and every real is read by real() above. For such a
+ * text, model._parse_python reads the same numbers.
+ *
+ * ids gets the arcs' tails and then the commodities' sources, then the
+ * arcs' heads and the commodities' sinks, each less 1; values gets the
+ * capacities and then the demands. A + K must fit the capacity, which the
+ * caller takes from the text's length, so no count in the text sizes a
+ * buffer. Returns 0 with the counts set, or 1 for any other text, with the
+ * buffers unfinished. Only syntax is checked: model.Instance checks the
+ * numbers. */
+int64_t sf_parse(sf_text *t)
+{
+    const char *p = blanks(t->text, t->text + t->length), *end = t->text + t->length;
+    int64_t counts[3];
+    if (!(p = word(p, end, "p")) || !(p = word(blanks(p, end), end, "mcf")))
+        return 1;
+    for (int i = 0; i < 3; i++)
+        if (!(p = integer(blanks(p, end), end, counts + i)))
+            return 1;
+    const int64_t n_arcs = counts[1], size = counts[1] + counts[2];
+    if (size > t->capacity)
+        return 1;
+    int64_t *firsts = t->ids, *seconds = t->ids + size, arc = 0, commodity = n_arcs;
+    for (;;) {
+        p = blanks(p, end);
+        if (p == end)
+            break;
+        if (*p++ != '\n')
+            return 1;
+        if (p == end)
+            break;
+        int64_t slot, first, second;
+        const char *q;
+        if ((q = word(p = blanks(p, end), end, "a")) && arc < n_arcs)
+            slot = arc++;
+        else if ((q = word(p, end, "c")) && commodity < size)
+            slot = commodity++;
+        else
+            return 1;
+        if (!(q = integer(blanks(q, end), end, &first))
+            || !(q = integer(blanks(q, end), end, &second))
+            || !(p = real(blanks(q, end), end, t->values + slot)))
+            return 1;
+        firsts[slot] = first - 1;
+        seconds[slot] = second - 1;
+    }
+    if (arc != n_arcs || commodity != size)
+        return 1;
+    t->n_vertices = counts[0];
+    t->n_arcs = n_arcs;
+    t->n_commodities = counts[2];
     return 0;
 }

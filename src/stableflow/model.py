@@ -12,14 +12,18 @@ arcs are allowed and are distinguished by their position (the arc id).
 Self-loops are rejected: their inflow and outflow contributions cancel, so
 such an arc could never do anything. Commodities whose source equals their
 sink are rejected as well.
+
+A canonical text (``_sweep.c:sf_parse`` says which) is read by the compiled
+kernel when it loads, any other by the Python parser, with identical results.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +82,13 @@ class Instance:
     The constructor accepts any iterables of 3-tuples and normalizes them to
     ``Arc`` / ``Commodity`` tuples, so tests and callers can write
     ``Instance(2, [(0, 1, 1.0)], [(0, 1, 1.0)])``.
+
+    Construction also sets, outside the fields that equality and hashing
+    see, ``scale``, the largest power of two <= the largest demand (1.0 if
+    none is positive; tolerances are multiples of it, so verdicts do not
+    depend on units), and read-only views ``tails``, ``heads`` (A,) int64,
+    ``capacities`` (A,) and ``injection`` (K, V), +demand at each source and
+    -demand at each sink, of ``_arrays``, which the compiled kernel reads.
     """
 
     vertex_count: int
@@ -100,10 +111,47 @@ class Instance:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "commodities", commodities)
-        self._validate()
+        firsts, seconds, values = tuple(zip(*arcs, *commodities)) or ((), (), ())
+        self._validate(firsts, seconds, values)
+        n_arcs = len(arcs)
+        self._bind(
+            np.array(values[:n_arcs], dtype=float),
+            np.array(firsts[:n_arcs], dtype=np.int64),
+            np.array(seconds[:n_arcs], dtype=np.int64),
+        )
 
-    def _validate(self) -> None:
+    @classmethod
+    def _from_columns(
+        cls, vertex_count: int, n_arcs: int, ids: np.ndarray, values: np.ndarray
+    ) -> Instance:
+        """The instance of ``_sweep.c:sf_parse``'s (2, A + K) ``ids`` and
+        (A + K,) ``values``, validated as the constructor does."""
+        firsts, seconds = ids.tolist()
+        reals = values.tolist()
+        inst = object.__new__(cls)
+        vars(inst).update(
+            vertex_count=vertex_count,
+            arcs=_rows(Arc, firsts[:n_arcs], seconds[:n_arcs], reals[:n_arcs]),
+            commodities=_rows(Commodity, firsts[n_arcs:], seconds[n_arcs:], reals[n_arcs:]),
+        )
+        inst._validate(firsts, seconds, reals)
+        inst._bind(values[:n_arcs], ids[0, :n_arcs], ids[1, :n_arcs])
+        return inst
+
+    def _validate(self, firsts: Sequence, seconds: Sequence, values: Sequence) -> None:
+        """Raises ValidationError at the first arc, then commodity, that
+        violates a model invariant; the columns are its ends and value."""
         n = self.vertex_count
+        ids = [*firsts, *seconds]
+        if (
+            min(ids, default=0) >= 0
+            and max(ids, default=0) < n
+            and not any(map(operator.eq, firsts, seconds))
+            # A finite sum rules out NaN and inf, so min compares them all.
+            and math.isfinite(sum(values))
+            and min(values, default=0.0) >= 0
+        ):
+            return
         if n < 1:
             raise ValidationError(f"vertex_count must be positive, got {n}")
         for idx, arc in enumerate(self.arcs):
@@ -129,6 +177,22 @@ class Instance:
                 continue
             raise ValidationError(f"commodity {idx} {problem}", commodity=idx)
 
+    def _bind(self, caps: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> None:
+        """Sets the scale and the arrays from the validated arc arrays."""
+        injection = np.zeros((len(self.commodities), self.vertex_count))
+        for k, com in enumerate(self.commodities):
+            injection[k, com.source] = com.demand
+            injection[k, com.sink] = -com.demand
+        largest = max((c.demand for c in self.commodities), default=0.0)
+        vars(self).update(
+            scale=math.ldexp(0.5, math.frexp(largest)[1]) if largest > 0 else 1.0,
+            _arrays=(caps, tails, heads, injection),
+            capacities=_read_only(caps.view()),
+            tails=_read_only(tails.view()),
+            heads=_read_only(heads.view()),
+            injection=_read_only(injection.view()),
+        )
+
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
@@ -141,58 +205,10 @@ class Instance:
     def total_demand(self) -> float:
         return sum(c.demand for c in self.commodities)
 
-    # The scale and read-only array views, built on first use and kept by the
-    # instance. cached_property stores them in the instance __dict__, outside
-    # the dataclass fields, so equality and hashing still see only the fields.
 
-    @cached_property
-    def scale(self) -> float:
-        """Largest power of two <= the largest demand; 1.0 when no demand is positive.
-
-        Every tolerance is a constant times this, and a power of two scales
-        exactly, so verdicts do not depend on units. Capacities do not count:
-        one above the total demand never binds.
-        """
-        largest = max((c.demand for c in self.commodities), default=0.0)
-        if largest <= 0:
-            return 1.0
-        return math.ldexp(0.5, math.frexp(largest)[1])
-
-    @cached_property
-    def tails(self) -> np.ndarray:
-        """(A,) int64 tail vertex of each arc."""
-        return _read_only(self._arrays[1].view())
-
-    @cached_property
-    def heads(self) -> np.ndarray:
-        """(A,) int64 head vertex of each arc."""
-        return _read_only(self._arrays[2].view())
-
-    @cached_property
-    def capacities(self) -> np.ndarray:
-        """(A,) float capacity of each arc."""
-        return _read_only(self._arrays[0].view())
-
-    @cached_property
-    def injection(self) -> np.ndarray:
-        """(K, V) demand injection: +demand at each source, -demand at each sink."""
-        return _read_only(self._arrays[3].view())
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Capacities, tails, heads and injection, of which the properties
-        above are read-only views. The compiled kernel reads these writable
-        bases, since ctypes reads a writable array's address the fastest."""
-        injection = np.zeros((self.commodity_count, self.vertex_count))
-        for k, com in enumerate(self.commodities):
-            injection[k, com.source] = com.demand
-            injection[k, com.sink] = -com.demand
-        return (
-            np.array([a.capacity for a in self.arcs], dtype=float),
-            np.array([a.tail for a in self.arcs], dtype=np.int64),
-            np.array([a.head for a in self.arcs], dtype=np.int64),
-            injection,
-        )
+def _rows(kind: type[tuple], *columns: list) -> tuple:
+    # kind(*row) per row, at ~40% of the cost of the named tuple's __new__.
+    return tuple(map(tuple.__new__, repeat(kind), zip(*columns)))
 
 
 def _vertex_ids(kind: str, idx: int, u: object, v: object) -> tuple[int, int]:
@@ -228,14 +244,33 @@ def _parse_real(token: str, line: int, what: str) -> float:
 def parse_instance(text: str) -> Instance:
     """Parse instance text into an :class:`Instance`.
 
-    The parser checks token syntax and counts; :class:`Instance` checks the
-    model invariants (vertex ranges, self-loops, source equal to sink,
-    sign and finiteness), and its error is reported at the offending line.
+    The compiled kernel reads a canonical text, and :func:`_parse_python`
+    any other and every invalid one, so errors carry their line.
 
     Raises:
         ParseError: On malformed lines, count mismatches with the problem
             line, or an instance that violates a model invariant. The error
             message carries the line number.
+    """
+    from . import _kernel  # imports this module
+
+    lib = _kernel.load()
+    if lib is not None and text.isascii():
+        try:
+            inst = _kernel.parse(lib, text)
+        except ValidationError:
+            inst = None  # read again below, so the error gets its line
+        if inst is not None:
+            return inst
+    return _parse_python(text)
+
+
+def _parse_python(text: str) -> Instance:
+    """:func:`parse_instance` in Python, the compiled reader's reference.
+
+    The parser checks token syntax and counts; :class:`Instance` checks the
+    model invariants (vertex ranges, self-loops, source equal to sink,
+    sign and finiteness), and its error is reported at the offending line.
     """
     vertex_count = arc_count = commodity_count = -1
     problem_line = 1

@@ -1,3 +1,6 @@
+import locale
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from stableflow import (
     Instance,
     ParseError,
     ValidationError,
+    _kernel,
     generate_random_instance,
     parse_instance,
     serialize_instance,
@@ -86,6 +90,185 @@ class TestParse:
     def test_non_finite_demand_rejected(self):
         with pytest.raises(ParseError, match="finite"):
             parse_instance("p mcf 2 1 1\na 1 2 1.0\nc 1 2 inf\n")
+
+
+def _outcome(text):
+    """The parsed instance, or the ParseError's line and message."""
+    try:
+        return parse_instance(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def _assert_same_outcome(compiled, python):
+    """Both reads give equal instances with bitwise-equal scale and arrays,
+    or the same ParseError."""
+    assert compiled == python
+    if isinstance(python, Instance):
+        assert compiled.scale.hex() == python.scale.hex()
+        for ours, theirs in zip(compiled._arrays, python._arrays):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def _read_both(text):
+    """parse_instance's outcome with the kernel as loaded, then without it."""
+    compiled = _outcome(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        python = _outcome(text)
+    return compiled, python
+
+
+def _compiled(text):
+    """Whether the compiled reader takes the text, as parse_instance asks it."""
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("the compiled kernel does not load")
+    try:
+        return _kernel.parse(lib, text) is not None
+    except ValidationError:
+        return True
+
+
+BYTES = [*"0123456789.eE+-_ \t\n#acpxinf", "\r", "\x0b", "\x0c", "\x85", "\x00", "\u2028"]
+TOKENS = ["0", "1", "3", "07", "0.5", "1e-06", "2E+3", "1e999", "+1", "-1", "inf", "1_0", "0x1p3"]
+
+
+def _mutated_texts(rng, count):
+    """Seeded mutations of canonical texts: bytes inserted, replaced or
+    deleted, tokens replaced, and lines swapped, repeated or blanked."""
+    bases = [
+        CANONICAL,
+        serialize_instance(generate_random_instance(6, 12, 3, (0.5, 4.0), (0.0, 3.0), seed=1)),
+        serialize_instance(
+            generate_random_instance(5, 9, 2, (1, 3), (1, 4), seed=2, integer_values=True)
+        ),
+    ]
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.randrange(4)
+            if op == 0:
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + rng.choice(BYTES) + text[at + rng.randrange(2) :]
+            elif op == 1:
+                at = rng.randrange(len(text) + 1)
+                text = text[:at] + text[at + 1 :]
+            elif op == 2:
+                tokens = text.split(" ")
+                tokens[rng.randrange(len(tokens))] = rng.choice(TOKENS)
+                text = " ".join(tokens)
+            else:
+                lines = text.split("\n")
+                i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+                pairs = [(lines[j], lines[i]), (lines[j], lines[j]), ("", "")]
+                lines[i], lines[j] = rng.choice(pairs)
+                text = "\n".join(lines)
+        yield text
+
+
+HEADER = "p mcf 3 2 2\n"
+ARCS = "a 1 2 1.5\na 2 3 4\n"
+COMS = "c 1 3 1e-06\nc 2 3 2.0\n"
+CANONICAL = HEADER + ARCS + COMS
+
+
+class TestCompiledParse:
+    """The compiled reader (_sweep.c:sf_parse) against the Python parser."""
+
+    @pytest.mark.parametrize(
+        "text,compiled",
+        [
+            pytest.param(CANONICAL, True, id="canonical"),
+            pytest.param(CANONICAL[:-1], True, id="no-final-newline"),
+            pytest.param(
+                HEADER + "a 1 2 1.5\nc 1 3 1\na 2 3 4\nc 2 3 2\n", True, id="interleaved"
+            ),
+            pytest.param(" p\tmcf  3 2 2 \n\ta 1 2 1.5\t\n" + ARCS[10:] + COMS, True, id="blanks"),
+            pytest.param(HEADER + "a 01 002 1E+2\na 2 3 4.25e-3\n" + COMS, True, id="reals"),
+            pytest.param("p mcf 1 1 0\na 1 1 1.0\n", True, id="self-loop"),
+            pytest.param("p mcf 0 0 0\n", True, id="no-vertices"),
+            pytest.param("p mcf 2 1 0\na 1 2 1e999\n", True, id="1e999"),
+            pytest.param("# note\n" + CANONICAL, False, id="comment-before-p"),
+            pytest.param("\n" + CANONICAL, False, id="blank-before-p"),
+            pytest.param(HEADER + "# note\n" + ARCS + COMS, False, id="comment-after-p"),
+            pytest.param(CANONICAL + "\n", False, id="blank-at-end"),
+            pytest.param(CANONICAL.replace("\n", "\r\n"), False, id="crlf"),
+            pytest.param("p mcf 3 2 2\x85\n" + ARCS + COMS, False, id="nel-in-p"),
+            pytest.param("p mcf 3 2\x0b2\n" + ARCS + COMS, False, id="vt-in-p"),
+            pytest.param("# \x85\n" + CANONICAL, False, id="nel-in-comment"),
+            pytest.param("# \x0b\n" + CANONICAL, False, id="vt-in-comment"),
+            pytest.param(HEADER + "a 1 2 +1\na 2 3 4\n" + COMS, False, id="plus"),
+            pytest.param(HEADER + "a 1 2 1_0\na 2 3 4\n" + COMS, False, id="underscore"),
+            pytest.param(HEADER + "a 1 2 inf\na 2 3 4\n" + COMS, False, id="inf"),
+            pytest.param(HEADER + "a 1 2 nan\na 2 3 4\n" + COMS, False, id="nan"),
+            pytest.param(HEADER + "a 1 2 0x1p3\na 2 3 4\n" + COMS, False, id="hex"),
+            pytest.param(HEADER + "a 1 2 .5\na 2 3 4.\n" + COMS, False, id="bare-point"),
+            pytest.param(HEADER + "a +1 2 1\na 2 3 4\n" + COMS, False, id="plus-id"),
+            pytest.param(HEADER + "a 1_0 2 1\na 2 3 4\n" + COMS, False, id="underscore-id"),
+            pytest.param(HEADER + "a 1 2 1 1\na 2 3 4\n" + COMS, False, id="five-tokens"),
+            pytest.param(HEADER + "a 1 2\na 2 3 4\n" + COMS, False, id="three-tokens"),
+            pytest.param(CANONICAL + "p mcf 3 2 2\n", False, id="second-p"),
+            pytest.param(CANONICAL + "a 1 2 1\n", False, id="extra-arc"),
+            pytest.param(HEADER + ARCS + COMS[:12], False, id="missing-commodity"),
+            pytest.param("p mcf 2 1 0\na 1 2 1.0\x00\n", False, id="nul"),
+            pytest.param("p mcf 2 1 0\na 1 2 1.0 # note\n", False, id="trailing-comment"),
+            pytest.param("p mcf 2 1 0\na 1 \u0662 1.0\n", False, id="arabic-digit"),
+            pytest.param("p mcf 2 1 0\na 1 1000000000000000002 1\n", False, id="19-digit-id"),
+            pytest.param("p mcf 2 1 0\na 1 9999999999999999999 1\n", False, id="beyond-int64"),
+            pytest.param("p mcf 2 1 0\na 1 999999999999999999 1\n", True, id="18-digit-id"),
+            pytest.param("p mcf 1000000000000000000 1 0\na 1 2 1\n", False, id="19-digit-count"),
+            pytest.param("p mcf 999999999999999999 1 0\na 1 2 1\n", True, id="18-digit-count"),
+        ],
+    )
+    def test_canonical_subset(self, text, compiled):
+        assert _compiled(text) is compiled
+        _assert_same_outcome(*_read_both(text))
+
+    def test_counts_beyond_the_text_allocate_nothing(self):
+        # The buffers are sized by the text's length, so a huge declared
+        # count defers to the Python parser and its count mismatch.
+        text = "p mcf 2 99999999999999 0\n"
+        assert not _compiled(text)
+        with pytest.raises(ParseError, match="declares 99999999999999 arcs, found 0"):
+            parse_instance(text)
+
+    def test_mutated_texts_read_the_same(self):
+        # Each read by both paths gives the same instance or ParseError.
+        compiled = 0
+        for text in _mutated_texts(random.Random(0), 6000):
+            compiled += _compiled(text)
+            _assert_same_outcome(*_read_both(text))
+        assert compiled > 500  # so the compiled reader is tested, not skipped
+
+    def test_comma_decimal_locale_reads_the_same_values(self):
+        saved = locale.setlocale(locale.LC_NUMERIC)
+        for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            break
+        else:
+            pytest.skip("no comma-decimal locale is installed")
+        try:
+            assert locale.localeconv()["decimal_point"] == ","
+            # strtod would stop at the '.', so the text defers.
+            assert not _compiled(CANONICAL)
+            compiled, python = _read_both(CANONICAL)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, saved)
+        _assert_same_outcome(compiled, python)
+        _assert_same_outcome(compiled, _outcome(CANONICAL))
+
+    def test_arrays_are_built_at_construction(self):
+        inst = Instance(3, [(0, 1, 2.0), (1, 2, 1.0)], [(0, 2, 3.0)])
+        assert {"scale", "_arrays", "tails", "heads", "capacities", "injection"} <= set(vars(inst))
+        assert inst.scale == 2.0
+        assert inst.tails.tolist() == [0, 1] and inst.heads.tolist() == [1, 2]
+        assert inst.injection.tolist() == [[3.0, 0.0, -3.0]]
+        assert not inst.tails.flags.writeable and inst._arrays[1].flags.writeable
 
 
 class TestInstanceValidation:

@@ -415,7 +415,10 @@ def _c_struct_fields(name):
         match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*", decl)
         assert match, decl
         c_type, pointer, field = match.groups()
-        fields.append((field, ctypes.c_void_p if pointer else c_types[c_type]))
+        if pointer:
+            fields.append((field, ctypes.c_char_p if c_type == "char" else ctypes.c_void_p))
+        else:
+            fields.append((field, c_types[c_type]))
     return fields
 
 
@@ -987,6 +990,9 @@ class TestKernelLoading:
 
     def test_routing_mirrors_the_c_struct(self):
         assert _c_struct_fields("sf_routing") == _kernel._Routing._fields_
+
+    def test_text_mirrors_the_c_struct(self):
+        assert _c_struct_fields("sf_text") == _kernel._Text._fields_
 
     def test_source_compiles_without_warnings(self, tmp_path):
         if _system_compiler() is None:
