@@ -5,9 +5,9 @@ texts, built on first use.
 ``_sweep.c`` is compiled once with the interpreter's C compiler into the
 package's ``__pycache__`` and loaded through ctypes. The library's file name
 carries a CRC of the source, the flags and the platform, so an edited source
-or another machine gets its own build. :func:`load` returns None when the
-library cannot be built or loaded, and callers then run their Python
-code, which gives bitwise the same results.
+or another machine gets its own build. The library is required: there is
+no other solver, and :func:`load` raises ``OSError`` when it cannot be built
+or loaded.
 
 A cache hit imports nothing beyond what numpy already has loaded; the
 compiler is looked up and run only on a miss.
@@ -32,7 +32,7 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_sweep.c")
 CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # No -ffast-math or -march=native: either lets the compiler reassociate or
-# fuse the arithmetic, which breaks bitwise agreement with the Python loop.
+# fuse the arithmetic, which breaks bitwise agreement with tests/reference.py.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
 # Most iterations one Kernel.run call may run: the rows of its trace buffer.
@@ -126,15 +126,20 @@ def _build(path: str) -> None:
         os.chmod(tmp, 0o755)  # mkstemp made it private; other users load it too
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
-        raise OSError(f"compiling {SOURCE} failed: {exc}") from exc
+        raise OSError(f"the compiler failed: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
 @functools.cache
-def load() -> ctypes.CDLL | None:
-    """The compiled kernel library, built if missing; None when unavailable."""
+def load() -> ctypes.CDLL:
+    """The compiled kernel library, built if missing.
+
+    Raises:
+        OSError: The library cannot be built or loaded. The message names
+            the compiler command and the source, on one line.
+    """
     try:
         with open(SOURCE, "rb") as fh:
             source = fh.read()
@@ -156,8 +161,13 @@ def load() -> ctypes.CDLL | None:
         lib.sf_crossover.restype = ctypes.c_int64
         lib.sf_parse.argtypes = [ctypes.POINTER(_Text)]
         lib.sf_parse.restype = ctypes.c_int64
-    except (OSError, AttributeError):
-        return None
+    except (OSError, AttributeError) as exc:
+        import shlex
+
+        raise OSError(
+            f"stableflow needs its compiled kernel, and building {SOURCE} with the C "
+            f"compiler {shlex.join(_compiler())!r} or loading it failed: {exc}"
+        ) from exc
     return lib
 
 
@@ -283,11 +293,10 @@ class Kernel:
 def crossover(
     lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float
 ) -> PseudoFlow:
-    """A basic routing of ``flows``, as ``pseudoflow._crossover`` gives it,
-    and the slacks' optimum for its totals: copy, crossover and slacks in
-    one call to ``_sweep.c:sf_crossover``, into one (K + 1, A) buffer.
-    ``flows`` is a nonempty, C-contiguous, native float64 array of the
-    instance's (K, A) shape."""
+    """A basic routing of ``flows`` and the slacks' optimum for its totals:
+    copy, crossover and slacks in one call to ``_sweep.c:sf_crossover``,
+    into one (K + 1, A) buffer. ``flows`` is a C-contiguous, native float64
+    array of the instance's (K, A) shape, which may be empty."""
     n_commodities, n_arcs = inst.commodity_count, inst.arc_count
     buffer = np.empty((n_commodities + 1, n_arcs))
     caps, tails, heads, _ = inst._arrays

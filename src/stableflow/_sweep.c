@@ -16,7 +16,7 @@
  *   dust at or below the use threshold is zeroed, and its slacks;
  * - sf_parse, for model.parse_instance: the numbers of a canonical instance
  *   text, read in one pass, or a refusal that sends the text to the Python
- *   parser (model._parse_python), which is the reference for it.
+ *   parser (model._parse_python), which reads every other text alike.
  *
  * The flows, slacks, totals, excesses and work arrays are views of the one
  * buffer of _kernel.Kernel, and momentum is the extrapolation's own array;
@@ -38,23 +38,23 @@
  * exact): the raw products overflow near demands of 1e200, and t would
  * then read 1 at every step.
  *
- * Compiled and loaded by _kernel.py. The Python code in solvers
- * (_python_sweep, _pgd_step, _extrapolate, and the numpy derivation and
- * report) is the reference and the fallback: every floating-point
- * expression below is the one there or in pseudoflow (_excess_matrix,
- * _flow_scatter, _slack_objective, _scaled_objective, _stability_residuals,
- * stability_report), evaluated in the same order, and the build turns off
- * contraction into fused multiply-adds, so results are bitwise equal to
- * the Python code. Every sum over an array is sequential, left to right in
- * C order, and both scatter excesses one commodity at a time.
+ * Compiled and loaded by _kernel.py; the library has no other solver. The
+ * Python code in tests/reference.py (_python_sweep, _pgd_step, _extrapolate,
+ * the numpy driver loop and _crossover) is the reference the tests compare
+ * with bit for bit: every floating-point expression below is the one there
+ * or in pseudoflow (_excess_matrix, _flow_scatter, _slack_objective,
+ * _scaled_objective, _stability_residuals, stability_report), evaluated in
+ * the same order, and the build turns off contraction into fused
+ * multiply-adds, so results are bitwise equal to the Python code. Every sum
+ * over an array is sequential, left to right in C order, and both scatter
+ * excesses one commodity at a time.
  *
  * The gate: sf_run counts the solve's iterations, and the first gate
  * (solvers._MOMENTUM_GATE) of them are plain. The gate's iteration leaves
  * its flows in momentum as the last result; from then on each iteration's
  * result is extrapolated with FISTA's sequence and kept only if its
  * objective, read in units of the scale, is no larger; otherwise the
- * momentum restarts (see extrapolate, and solvers._extrapolate for the
- * reference).
+ * momentum restarts (see extrapolate, and tests/reference.py:_extrapolate).
  */
 #include <math.h>
 #include <stdint.h>
@@ -177,7 +177,7 @@ static void derive(sf_state *s)
 }
 
 /* One projected gradient step with the exact step length, in place, as
- * solvers._pgd_step. */
+ * tests/reference.py:_pgd_step. */
 static void pgd_step(sf_state *s)
 {
     const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
@@ -332,7 +332,7 @@ static double scaled_objective(const sf_state *s)
  * <= x+'s; otherwise x+ is restored and theta reset to 1 (adaptive
  * restart, O'Donoghue-Candes 2015). momentum holds x_prev's flows, then a
  * copy of x+'s slacks, totals and excesses; once y is made, x_prev's
- * flows are x+'s. As solvers._extrapolate. */
+ * flows are x+'s. As tests/reference.py:_extrapolate. */
 static void extrapolate(sf_state *s)
 {
     const int64_t n_arcs = s->n_arcs, size = s->n_commodities * n_arcs;
@@ -409,8 +409,8 @@ int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
     return n;
 }
 
-/* The final state and its report, as solvers.solve's Python path: flows
- * become max(flows, 0) and the slacks their optimum for the derived
+/* The final state and its report, as tests/reference.py:solve makes them:
+ * flows become max(flows, 0) and the slacks their optimum for the derived
  * totals, in place. out holds heights (n_vertices, n_commodities),
  * congestions (n_arcs,), implied multipliers (n_commodities, n_arcs) and
  * the used and unused residuals, in that order. */
@@ -463,7 +463,7 @@ static void graft(int64_t *parent, int64_t *up, int64_t v, int64_t to, int64_t a
 
 /* Moves arc b's flow by delta, up when rising and down otherwise; an arc
  * whose amount, the room left or the flow, is delta lands exactly on its
- * room or on 0.0. As pseudoflow._push. */
+ * room or on 0.0. As tests/reference.py:_push. */
 static void move(double *flow, const double *room, int64_t b, int64_t rising, double delta)
 {
     if (rising)
@@ -472,8 +472,8 @@ static void move(double *flow, const double *room, int64_t b, int64_t rising, do
         flow[b] = flow[b] == delta ? 0.0 : flow[b] - delta;
 }
 
-/* For certify.classify, as pseudoflow._crossover: a basic routing of a
- * FEASIBLE flow. out's first K*A doubles get a copy of flows in which each
+/* For certify.classify, as tests/reference.py:_crossover: a basic routing
+ * of a FEASIBLE flow. out's first K*A doubles get a copy of flows in which each
  * commodity's free arcs form a forest, with flows at or below the threshold
  * zeroed, and the next A the slacks' optimum for its totals.
  *
@@ -483,8 +483,8 @@ static void move(double *flow, const double *room, int64_t b, int64_t rising, do
  * The arcs above the threshold are scanned in id order, and the free ones
  * kept as a forest of parent pointers. A free arc joining two trees links
  * them. An arc closing a cycle with the tree path between its ends gets a
- * push around that cycle, as pseudoflow._push gives it; an arc at its room
- * only when the push lowers it and empties an arc. Then the tree arcs that
+ * push around that cycle, as tests/reference.py:_push gives it; an arc at
+ * its room only when the push lowers it and empties an arc. Then the tree arcs that
  * left the free set are cut, and the entering arc is linked if it is free.
  * Each push keeps every excess. An arc the scan has passed is in the
  * forest, or not free and never moved again, so after the scan the free

@@ -27,12 +27,11 @@ from .pseudoflow import (
     PseudoFlow,
     StabilityReport,
     _USE_FRACTION,
-    _crossover,
     _scaled_objective,
     check_feasible,
     write_flow_dump,
 )
-from .solvers import SolveResult, _optimal_slacks
+from .solvers import SolveResult
 
 ORACLE_MAX_VERTICES = 8
 ORACLE_MAX_ARCS = 12
@@ -100,17 +99,12 @@ def classify(inst: Instance, result: SolveResult) -> Verdict:
 
 def _basic(inst: Instance, flows: np.ndarray) -> PseudoFlow:
     """A basic routing of ``flows``, a copy, and the slacks' optimum for it:
-    ``_sweep.c:sf_crossover`` in one call, or ``pseudoflow._crossover`` when
-    the kernel cannot be loaded or there are no flows."""
+    ``_sweep.c:sf_crossover`` in one call, which takes empty flows too."""
     shape = (inst.commodity_count, inst.arc_count)
     if flows.shape != shape or flows.dtype.char != "d":
         raise ValueError(f"flows must be a float64 array of shape {shape}")
-    threshold = _USE_FRACTION * inst.scale
-    lib = _kernel.load()
-    if lib is not None and flows.size:  # the kernel takes no empty array
-        return _kernel.crossover(lib, inst, np.ascontiguousarray(flows, dtype=float), threshold)
-    routed = _crossover(inst, flows, threshold)
-    return PseudoFlow._adopt(routed, _optimal_slacks(routed.sum(axis=0), inst.capacities))
+    flows = np.ascontiguousarray(flows, dtype=float)
+    return _kernel.crossover(_kernel.load(), inst, flows, _USE_FRACTION * inst.scale)
 
 
 def render_verdict_report(

@@ -5,7 +5,9 @@ against an instance), generate (random instance to stdout), verify (solver
 vs oracle agreement). Instance input is a file path or '-' for stdin.
 
 Exit codes: 0 FEASIBLE / ok, 1 INFEASIBLE / check failed, 2 UNDECIDED,
-10 usage or parse errors, 11 flow-dump errors, 12 oracle size refusal.
+10 usage or parse errors, a compiled kernel that cannot be built or loaded
+(solve, check, verify) or a solve that does not fit in memory, 11 flow-dump
+errors, 12 oracle size refusal.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import _kernel
 from .certify import (
     OracleSizeError,
     VerdictKind,
@@ -63,6 +66,13 @@ def _read_instance(path: str) -> Instance:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         return parse_instance(text)
     except (InstanceError, OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _load_kernel() -> None:
+    try:
+        _kernel.load()
+    except OSError as exc:  # names the compiler command
         raise _UsageError(str(exc)) from None
 
 
@@ -123,7 +133,10 @@ def _build_parser() -> _Parser:
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
     inst = _read_instance(args.instance)
-    result = solve(inst, cfg)
+    try:
+        result = solve(inst, cfg)
+    except MemoryError as exc:
+        raise _UsageError(f"the solve does not fit in memory: {exc}") from None
     verdict = classify(inst, result)
     if args.trace:
         try:
@@ -225,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         args = parser.parse_args(argv)
+        if args.command != "generate":  # the others parse or solve in the kernel
+            _load_kernel()
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

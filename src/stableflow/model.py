@@ -14,7 +14,7 @@ such an arc could never do anything. Commodities whose source equals their
 sink are rejected as well.
 
 A canonical text (``_sweep.c:sf_parse`` says which) is read by the compiled
-kernel when it loads, any other by the Python parser, with identical results.
+kernel, any other by the Python parser, with identical results.
 """
 
 from __future__ import annotations
@@ -179,7 +179,13 @@ class Instance:
 
     def _bind(self, caps: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> None:
         """Sets the scale and the arrays from the validated arc arrays."""
-        injection = np.zeros((len(self.commodities), self.vertex_count))
+        try:
+            injection = np.zeros((len(self.commodities), self.vertex_count))
+        except (MemoryError, ValueError):  # ValueError: beyond numpy's largest shape
+            raise ValidationError(
+                f"vertex_count {self.vertex_count} is too large: a "
+                f"({len(self.commodities)}, {self.vertex_count}) demand injection does not fit"
+            ) from None
         for k, com in enumerate(self.commodities):
             injection[k, com.source] = com.demand
             injection[k, com.sink] = -com.demand
@@ -249,13 +255,15 @@ def parse_instance(text: str) -> Instance:
 
     Raises:
         ParseError: On malformed lines, count mismatches with the problem
-            line, or an instance that violates a model invariant. The error
-            message carries the line number.
+            line, or an instance that violates a model invariant or whose
+            arrays do not fit in memory. The error message carries the line
+            number.
+        OSError: The compiled kernel cannot be built or loaded.
     """
     from . import _kernel  # imports this module
 
     lib = _kernel.load()
-    if lib is not None and text.isascii():
+    if text.isascii():
         try:
             inst = _kernel.parse(lib, text)
         except ValidationError:
@@ -266,7 +274,8 @@ def parse_instance(text: str) -> Instance:
 
 
 def _parse_python(text: str) -> Instance:
-    """:func:`parse_instance` in Python, the compiled reader's reference.
+    """:func:`parse_instance` in Python, for every text the compiled reader
+    defers; the only source of ``ParseError`` messages.
 
     The parser checks token syntax and counts; :class:`Instance` checks the
     model invariants (vertex ranges, self-loops, source equal to sink,

@@ -343,110 +343,6 @@ def check_feasible(inst: Instance, flows: np.ndarray, tol: float) -> Feasibility
     return FeasibilityCheck(ok, cap_violation, conservation, min_flow)
 
 
-def _crossover(inst: Instance, flows: np.ndarray, threshold: float) -> np.ndarray:
-    """A basic routing: a copy of ``flows`` in which each commodity's free
-    arcs form a forest, with every flow at or below ``threshold`` zeroed.
-
-    The reference and fallback for ``_sweep.c:sf_crossover``, bitwise; its
-    comment gives the rules. Pushing flow around a cycle keeps every excess,
-    and an arc the scan has passed is in the forest, or not free and never
-    moved again, so the free arcs end as a forest: a cycle-free solution in
-    the sense of the network simplex method (Ahuja-Magnanti-Orlin 1993). No
-    arc is raised above its room, so no overload rises. An arc closes at
-    most one cycle with a forest, so the forest's shape does not change the
-    routing: this code walks whole root paths and re-roots at the head,
-    where the C code walks both ends in turn and re-roots the shallower one.
-    """
-    tails, heads = inst.tails.tolist(), inst.heads.tolist()
-    routed = np.array(flows, dtype=float)
-    totals = routed.sum(axis=0)
-    for k in range(inst.commodity_count):
-        before = routed[k].copy()
-        room = np.maximum(inst.capacities - (totals - before), before).tolist()
-        flow = before.tolist()
-
-        def free(a: int) -> bool:
-            return threshold < flow[a] < room[a] - threshold
-
-        parent = [-1] * inst.vertex_count  # v's parent in the forest, -1 at a root
-        up = [0] * inst.vertex_count  # the arc joining v and parent[v]
-        for a in range(inst.arc_count):
-            if not flow[a] > threshold:
-                continue
-            at_room = not free(a)
-            tail, head = tails[a], heads[a]
-            to_tail, to_head = _root_path(parent, tail), _root_path(parent, head)
-            if to_tail[-1] == to_head[-1]:
-                while len(to_tail) > 1 and len(to_head) > 1 and to_tail[-2] == to_head[-2]:
-                    to_tail.pop()
-                    to_head.pop()
-                # along: raised by a push that raises a, which runs tail to head.
-                cycle = [(a, True)]
-                cycle += [(up[v], heads[up[v]] == v) for v in to_tail[:-1]]
-                cycle += [(up[v], tails[up[v]] == v) for v in to_head[:-1]]
-                if not _push(cycle, flow, room, at_room):
-                    continue
-                for v in to_tail[:-1] + to_head[:-1]:
-                    if not free(up[v]):
-                        parent[v] = -1
-            if free(a):
-                _link(parent, up, a, tail, head)
-        routed[k] = flow
-        totals += routed[k] - before
-    routed[routed <= threshold] = 0.0
-    return routed
-
-
-def _root_path(parent: list[int], v: int) -> list[int]:
-    path = [v]
-    while parent[v] >= 0:
-        v = parent[v]
-        path.append(v)
-    return path
-
-
-def _push(
-    cycle: list[tuple[int, bool]], flow: list[float], room: list[float], at_room: bool
-) -> bool:
-    """Pushes flow around ``cycle``, (arc, along) pairs, as far as it goes.
-
-    One way raises the along arcs and lowers the others; the other way the
-    reverse. A way's bottleneck is its least amount: the flow of an arc it
-    lowers, or the room left on an arc it raises. The push goes the way
-    whose bottleneck empties an arc; if both or neither do, the way with the
-    smaller bottleneck; on a tie, the way that lowers the entering arc. An
-    entering arc ``at_room`` is only lowered, and only when that empties an
-    arc; otherwise nothing moves and this returns False. Each arc whose
-    amount is the bottleneck lands exactly on 0.0 or its room.
-    """
-    keys = []
-    for raise_along in (False, True):
-        lowered = min((flow[b] for b, along in cycle if along != raise_along), default=math.inf)
-        raised = min(
-            (room[b] - flow[b] for b, along in cycle if along == raise_along), default=math.inf
-        )
-        keys.append((raised < lowered, raised if raised < lowered else lowered))
-    if at_room and keys[0][0]:
-        return False
-    raise_along = not at_room and keys[1] < keys[0]
-    delta = keys[raise_along][1]
-    for b, along in cycle:
-        if along == raise_along:
-            flow[b] = room[b] if room[b] - flow[b] == delta else flow[b] + delta
-        else:
-            flow[b] = 0.0 if flow[b] == delta else flow[b] - delta
-    return True
-
-
-def _link(parent: list[int], up: list[int], a: int, tail: int, head: int) -> None:
-    """Joins head's tree to tail's by arc ``a``, re-rooting it at head."""
-    v, to, arc = head, tail, a
-    while v >= 0:
-        next_v, next_arc = parent[v], up[v]
-        parent[v], up[v] = to, arc
-        v, to, arc = next_v, v, next_arc
-
-
 def write_flow_dump(
     inst: Instance,
     flows: np.ndarray,

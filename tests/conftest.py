@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from stableflow import Instance
+from stableflow import Instance, _kernel
 from stableflow.pseudoflow import _excess_matrix, check_feasible
+
+
+@pytest.fixture
+def fresh_load():
+    """``_kernel.load`` uncached for the test, and again after it."""
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
 
 
 @pytest.fixture

@@ -25,8 +25,9 @@ from stableflow import (
     solve_pgd,
     stability_report,
 )
-from stableflow import _kernel
 from stableflow.pseudoflow import write_flow_dump
+
+import reference
 
 
 def scaled(inst, factor):
@@ -472,11 +473,9 @@ class TestAcyclicRouting:
             if verdict.kind is not VerdictKind.FEASIBLE:
                 continue
             decided += 1
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_kernel, "load", lambda: None)
-                reference = classify(inst, result).flow
-            assert verdict.flow.flows.tobytes() == reference.flows.tobytes()
-            assert verdict.flow.slacks.tobytes() == reference.slacks.tobytes()
+            python = reference.basic(inst, result.flow.flows)
+            assert verdict.flow.flows.tobytes() == python.flows.tobytes()
+            assert verdict.flow.slacks.tobytes() == python.slacks.tobytes()
             caps = inst.capacities
             optimal = np.clip(caps - verdict.flow.flows.sum(axis=0), 0.0, caps)
             assert verdict.flow.slacks.tobytes() == optimal.tobytes()
@@ -511,12 +510,32 @@ class TestAcyclicRouting:
         expected = classify(inst, result).flow
         result.flow.flows = layout(result.flow.flows)
         compiled = classify(inst, result).flow
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernel, "load", lambda: None)
-            fallback = classify(inst, result).flow
-        for flow in (compiled, fallback):
+        python = reference.basic(inst, result.flow.flows)
+        for flow in (compiled, python):
             assert flow.flows.tobytes() == expected.flows.tobytes()
             assert flow.slacks.tobytes() == expected.slacks.tobytes()
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(2, [], [(0, 1, 0.0)]),
+            Instance(3, [], [(0, 2, 0.0), (2, 1, 0.0)]),
+            Instance(2, [(0, 1, 1.0)], []),
+            Instance(3, [(0, 1, 1.0), (1, 2, 2.0)], []),
+            Instance(1, [], []),
+            Instance(4, [], []),
+        ],
+        ids=["no-arcs", "no-arcs-2", "no-commodities", "no-commodities-2", "none-1", "none-4"],
+    )
+    def test_empty_flows_match_python(self, inst):
+        # The compiled crossover takes (K, A) flows with A = 0, K = 0 or both.
+        result = solve(inst)
+        verdict = classify(inst, result)
+        assert verdict.kind is VerdictKind.FEASIBLE
+        python = reference.basic(inst, result.flow.flows)
+        for got, want in [(verdict.flow.flows, python.flows), (verdict.flow.slacks, python.slacks)]:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "flows",

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from stableflow import parse_instance, serialize_instance, solve, write_flow_dump
+from stableflow import _kernel, parse_instance, serialize_instance, solve, write_flow_dump
 from stableflow.cli import main
 
 FEASIBLE = "p mcf 2 1 1\na 1 2 1.0\nc 1 2 1.0\n"
@@ -71,6 +71,21 @@ class TestSolve:
         monkeypatch.setattr("sys.stdin", io.StringIO(FEASIBLE))
         assert main(["solve", "-"]) == 0
         assert "verdict FEASIBLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p mcf 99999999999999999 0 1\nc 1 2 1\n", "line 1: vertex_count"),
+            ("# c\np mcf 999999999999999999999999 0 1\nc 1 2 1\n", "line 2: vertex_count"),
+            ("p mcf 99999999999999999 0 0\n", "the solve does not fit in memory"),
+        ],
+        ids=["parse-no-memory", "parse-beyond-numpy-shape", "solve-no-memory"],
+    )
+    def test_vertex_count_beyond_memory_exit_ten(self, instance_file, capsys, text, message):
+        assert main(["solve", instance_file(text)]) == 10
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert message in captured.err
 
     def test_not_utf8_exit_ten(self, tmp_path, capsys):
         path = tmp_path / "binary.mcf"
@@ -300,3 +315,23 @@ class TestVerify:
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 10
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "verify"])
+def test_kernel_build_failure_exit_ten(
+    command, instance_file, capsys, monkeypatch, tmp_path, fresh_load
+):
+    # solve and check parse in the kernel and verify solves in it; without
+    # it each ends with one error line naming the compiler, not a traceback.
+    path = instance_file(FEASIBLE)
+    argv = {
+        "solve": ["solve", path],
+        "check": ["check", path, "--flow", instance_file("s 0 0 0\n", name="flow.dump")],
+        "verify": ["verify", "--random", "1"],
+    }[command]
+    monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernel, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+    assert main(argv) == 10
+    captured = capsys.readouterr()
+    assert_one_error_line(captured)
+    assert "no-such-cc" in captured.err and "_sweep.c" in captured.err

@@ -22,7 +22,9 @@ from stableflow import (
     write_flow_dump,
 )
 from stableflow import _kernel
-from stableflow.pseudoflow import _crossover, _excess_matrix
+from stableflow.pseudoflow import _excess_matrix
+
+from reference import _crossover
 
 
 def random_point(inst, rng, low=0.01):
@@ -424,12 +426,10 @@ THRESHOLD = 1e-9  # the use threshold at scale 1.0, a largest demand in [1, 2)
 def _route_both_ways(inst, flows):
     """The Python reference's routing; the compiled one must be bitwise equal."""
     reference = _crossover(inst, flows, THRESHOLD)
-    lib = _kernel.load()
-    if lib is not None:
-        compiled = _kernel.crossover(lib, inst, flows, THRESHOLD)
-        assert compiled.flows.tobytes() == reference.tobytes()
-        caps = inst.capacities
-        assert compiled.slacks.tobytes() == np.clip(caps - reference.sum(axis=0), 0, caps).tobytes()
+    compiled = _kernel.crossover(_kernel.load(), inst, flows, THRESHOLD)
+    assert compiled.flows.tobytes() == reference.tobytes()
+    caps = inst.capacities
+    assert compiled.slacks.tobytes() == np.clip(caps - reference.sum(axis=0), 0, caps).tobytes()
     return reference
 
 
