@@ -10,7 +10,9 @@ no other solver, and :func:`load` raises ``OSError`` when it cannot be built
 or loaded.
 
 A cache hit imports nothing beyond what numpy already has loaded; the
-compiler is looked up and run only on a miss.
+compiler is looked up and run only on a miss. The first load's outcome is
+kept for the process, a failure too: each later call raises its message
+again without running the compiler.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # fuse the arithmetic, which breaks bitwise agreement with tests/reference.py.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
-# Most iterations one Kernel.run call may run: the rows of its trace buffer.
+# The trace rows one sf_solve call may write, row 0 included: a solve of up
+# to SEGMENT - 1 iterations takes one call.
 SEGMENT = 64
 
 
@@ -58,6 +61,7 @@ class _State(ctypes.Structure):
         ("n_commodities", ctypes.c_int64),
         ("pgd", ctypes.c_int64),
         ("iterations", ctypes.c_int64),
+        ("done", ctypes.c_int64),
         ("gate", ctypes.c_int64),
         ("use_threshold", ctypes.c_double),
         ("omega", ctypes.c_double),
@@ -132,14 +136,18 @@ def _build(path: str) -> None:
             os.unlink(tmp)
 
 
-@functools.cache
-def load() -> ctypes.CDLL:
-    """The compiled kernel library, built if missing.
+# The restype and argtypes of each function the library exports.
+_SIGNATURES = {
+    "sf_solve": (ctypes.c_int64, ctypes.POINTER(_State), ctypes.c_double, ctypes.c_int64,
+                 ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p),
+    "sf_crossover": (ctypes.c_int64, ctypes.POINTER(_Routing)),
+    "sf_parse": (ctypes.c_int64, ctypes.POINTER(_Text)),
+}
 
-    Raises:
-        OSError: The library cannot be built or loaded. The message names
-            the compiler command and the source, on one line.
-    """
+
+@functools.cache
+def _open() -> ctypes.CDLL | str:
+    """The library, built if missing, or the message of why it failed."""
     try:
         with open(SOURCE, "rb") as fh:
             source = fh.read()
@@ -150,49 +158,55 @@ def load() -> ctypes.CDLL:
         if not os.path.exists(path):
             _build(path)
         lib = ctypes.CDLL(path)
-        state = ctypes.POINTER(_State)
-        lib.sf_derive.argtypes = [state, ctypes.c_void_p]
-        lib.sf_derive.restype = None
-        lib.sf_run.argtypes = [state, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
-        lib.sf_run.restype = ctypes.c_int64
-        lib.sf_report.argtypes = [state, ctypes.c_void_p]
-        lib.sf_report.restype = None
-        lib.sf_crossover.argtypes = [ctypes.POINTER(_Routing)]
-        lib.sf_crossover.restype = ctypes.c_int64
-        lib.sf_parse.argtypes = [ctypes.POINTER(_Text)]
-        lib.sf_parse.restype = ctypes.c_int64
+        for name, (restype, *argtypes) in _SIGNATURES.items():
+            function = getattr(lib, name)
+            function.restype, function.argtypes = restype, argtypes
     except (OSError, AttributeError) as exc:
         import shlex
 
-        raise OSError(
+        return (
             f"stableflow needs its compiled kernel, and building {SOURCE} with the C "
             f"compiler {shlex.join(_compiler())!r} or loading it failed: {exc}"
-        ) from exc
+        )
+    return lib
+
+
+def load() -> ctypes.CDLL:
+    """The compiled kernel library, built if missing.
+
+    Raises:
+        OSError: The library cannot be built or loaded. The message names
+            the compiler command and the source, on one line.
+    """
+    lib = _open()
+    if isinstance(lib, str):
+        raise OSError(lib)
     return lib
 
 
 class Kernel:
-    """The compiled per-solve work of :func:`solvers.solve` on ``inst``.
+    """The compiled solve of :func:`solvers.solve` on ``inst``.
 
     It owns the solve's state: ``flows``, ``slacks``, ``totals`` and
-    ``excesses`` are views of one buffer, which also holds a segment's trace
+    ``excesses`` are views of one buffer, which also holds one call's trace
     rows, the report and the work arrays. The extrapolation's arrays are a
     second array, so a result, whose arrays are views of the buffer, does
     not keep them alive. Both are made here, and the report's views are
     sliced here once. The starting flows and slacks are copied in, and
-    :meth:`derive` fills the rest. The instance's arrays are read in place
+    :meth:`solve` derives the rest. The instance's arrays are read in place
     and not checked again: the instance validated them, and a warm start has
     passed ``PseudoFlow.validate``. Each iteration is a PGD step with the
     exact step length when ``pgd`` is true, slope and curvature read in
     units of ``inst.scale``; otherwise an over-relaxed sweep with factor
-    ``omega``. ``sf_run`` counts the iterations, and each one past the
-    first ``gate`` also tries an extrapolated point
-    (``_sweep.c:extrapolate``).
+    ``omega``. Each iteration past the first ``gate`` also tries an
+    extrapolated point (``_sweep.c:extrapolate``).
+
+    Raises:
+        OSError: The compiled kernel cannot be built or loaded.
     """
 
     def __init__(
         self,
-        lib: ctypes.CDLL,
         inst: Instance,
         flows: np.ndarray,
         slacks: np.ndarray,
@@ -201,6 +215,7 @@ class Kernel:
         omega: float,
         gate: int,
     ) -> None:
+        self._sf_solve = load().sf_solve
         n_vertices, n_arcs = inst.vertex_count, inst.arc_count
         n_commodities = inst.commodity_count
         size = n_commodities * n_arcs
@@ -242,6 +257,7 @@ class Kernel:
             n_arcs,
             n_commodities,
             pgd,
+            -1,
             0,
             gate,
             use_threshold,
@@ -251,48 +267,32 @@ class Kernel:
         )
         self._ref = ctypes.byref(self._state)
         self._inst = inst  # holds the arrays the state reads in place
-        self._lib = lib
 
-    def derive(self) -> list[float]:
-        """Derives totals and excesses from the flows, in place.
+    def solve(
+        self, tol: float, max_iters: int
+    ) -> tuple[list[list[float]], tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
+        """Runs ``_sweep.c:sf_solve`` to its stop, one call per ``SEGMENT`` rows.
 
-        Returns the (slack-form objective, used residual, unused residual)
-        row of the derived state. Call it before the first :meth:`run`: the
-        buffer starts uninitialised.
+        Returns the trace rows, (slack-form objective, used residual, unused
+        residual) after iteration i, from 0, and the report on the final
+        state as ``stability_report`` makes it: heights (vertex,
+        commodity), congestions, implied multipliers (commodity, arc), and
+        the used and unused residuals, the arrays views of the buffer. In
+        place, ``flows`` end as ``max(flows, 0)``, ``totals`` and
+        ``excesses`` are derived from them and each slack is at its optimum.
         """
-        self._lib.sf_derive(self._ref, self._rows_ptr)
-        return self._rows[0].tolist()
-
-    def run(self, tol: float, n: int) -> list[list[float]]:
-        """Up to ``n`` iterations, in place; 1 <= n <= SEGMENT.
-
-        Returns one (slack-form objective, used residual, unused residual)
-        row per iteration run, each of the state that iteration keeps. The
-        run stops early only after the first row whose larger residual is
-        <= ``tol`` or NaN; a segment runs across the gate.
-        """
-        if not 1 <= n <= len(self._rows):
-            raise ValueError(f"n must lie in [1, {len(self._rows)}], got {n}")
-        done = self._lib.sf_run(self._ref, tol, n, self._rows_ptr)
-        return self._rows[:done].tolist()
-
-    def report(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """Makes the state final and reports on it, as ``stability_report`` does.
-
-        In place, ``flows`` become ``max(flows, 0)``, ``totals`` and
-        ``excesses`` are re-derived and each slack is set to its optimum.
-        Returns heights (vertex, commodity), congestions, implied
-        multipliers (commodity, arc), and the used and unused residuals. The
-        arrays are views of this kernel's buffer, which the next call
-        overwrites.
-        """
-        self._lib.sf_report(self._ref, self._report_ptr)
-        return (self._heights, self._congestions, self._multipliers, *self._residuals.tolist())
+        max_iters = min(max_iters, 2**63 - 1)  # ctypes would wrap a larger int
+        rows: list[list[float]] = []
+        while not self._state.done:
+            written = self._sf_solve(
+                self._ref, tol, max_iters, self._rows_ptr, len(self._rows), self._report_ptr
+            )
+            rows += self._rows[:written].tolist()
+        report = (self._heights, self._congestions, self._multipliers, *self._residuals.tolist())
+        return rows, report
 
 
-def crossover(
-    lib: ctypes.CDLL, inst: Instance, flows: np.ndarray, threshold: float
-) -> PseudoFlow:
+def crossover(inst: Instance, flows: np.ndarray, threshold: float) -> PseudoFlow:
     """A basic routing of ``flows`` and the slacks' optimum for its totals:
     copy, crossover and slacks in one call to ``_sweep.c:sf_crossover``,
     into one (K + 1, A) buffer. ``flows`` is a C-contiguous, native float64
@@ -304,12 +304,12 @@ def crossover(
         _address(flows), _address(buffer), _address(caps), _address(tails), _address(heads),
         inst.vertex_count, n_arcs, n_commodities, threshold,
     )
-    if lib.sf_crossover(ctypes.byref(routing)):
+    if load().sf_crossover(ctypes.byref(routing)):
         raise MemoryError("sf_crossover could not allocate its scratch")
     return PseudoFlow._adopt(buffer[:n_commodities], buffer[n_commodities])
 
 
-def parse(lib: ctypes.CDLL, text: str) -> Instance | None:
+def parse(text: str) -> Instance | None:
     """The instance of an ASCII ``text`` that ``_sweep.c:sf_parse`` reads,
     else None; ValidationError if it violates a model invariant."""
     data = text.encode()
@@ -318,7 +318,7 @@ def parse(lib: ctypes.CDLL, text: str) -> Instance | None:
     capacity = len(data) // 8
     ids, values = np.empty(2 * capacity, dtype=np.int64), np.empty(capacity)
     parsed = _Text(data, len(data), _address(ids), _address(values), capacity)
-    if lib.sf_parse(ctypes.byref(parsed)):
+    if load().sf_parse(ctypes.byref(parsed)):
         return None
     size = parsed.n_arcs + parsed.n_commodities
     return Instance._from_columns(

@@ -1,16 +1,11 @@
 /* The compiled work of stableflow: per solve, that of both solvers of the
  * slack-form objective, for solvers.solve; the crossover; and the reader:
  *
- * - sf_derive: totals and excesses derived from the flows, and the trace
- *   row of that state; row 0 and the re-check at a stop;
- * - sf_run: a segment of iterations, over-relaxed Gauss-Seidel sweeps
- *   (coordinate descent) or projected gradient steps with the exact step
- *   (PGD), each followed past the gate by an extrapolation that is kept or
- *   restarted, and each with its trace row (the objective and the
- *   stability residuals) of the kept state; it stops early only once the
- *   state is stable or a residual is NaN. Neither method has a stall exit;
- * - sf_report: the final flows and slacks, and the report on them:
- *   heights, congestions, implied multipliers and both residuals;
+ * - sf_solve: the whole solve, a buffer of trace rows per call: iterations
+ *   of over-relaxed Gauss-Seidel sweeps (coordinate descent) or projected
+ *   gradient steps with the exact step (PGD), each followed past the gate
+ *   by an extrapolation that is kept or restarted, until the stopping rule
+ *   holds; then the final flows and slacks, and the report on them;
  * - sf_crossover, for certify.classify: a basic routing of a FEASIBLE
  *   flow, a copy in which each commodity's free arcs form a forest and the
  *   dust at or below the use threshold is zeroed, and its slacks;
@@ -49,7 +44,7 @@
  * over an array is sequential, left to right in C order, and both scatter
  * excesses one commodity at a time.
  *
- * The gate: sf_run counts the solve's iterations, and the first gate
+ * The gate: sf_solve counts the solve's iterations, and the first gate
  * (solvers._MOMENTUM_GATE) of them are plain. The gate's iteration leaves
  * its flows in momentum as the last result; from then on each iteration's
  * result is extrapolated with FISTA's sequence and kept only if its
@@ -76,7 +71,8 @@ typedef struct {
     int64_t n_arcs;
     int64_t n_commodities;
     int64_t pgd;             /* nonzero: PGD steps; zero: sweeps */
-    int64_t iterations;      /* iterations run so far */
+    int64_t iterations;      /* iterations run so far; -1 until row 0 is written */
+    int64_t done;            /* nonzero once the solve has stopped and reported */
     int64_t gate;            /* plain iterations before the first extrapolation */
     double use_threshold;
     double omega;            /* over-relaxation factor of the flow step, in (0, 2) */
@@ -371,42 +367,20 @@ static void extrapolate(sf_state *s)
     s->theta = 1.0;
 }
 
-/* Derives totals and excesses from the flows and writes the row of that
- * state to row[0 .. 2]: the objective, then the used and unused
- * residuals. */
-void sf_derive(sf_state *s, double *row)
-{
-    derive(s);
-    row[0] = objective(s);
-    residuals(s, row + 1, 0);
-}
-
-/* Up to n iterations, each a sweep or PGD step, then, past the gate, an
+/* One iteration, a sweep or PGD step, then, past the gate, an
  * extrapolation; the gate's own iteration copies its flows to momentum as
- * the last result. Iteration i writes rows[3i .. 3i+2]: the objective and
- * the residuals, all of the state it keeps. Returns the number of rows
- * written, fewer than n only after the first row whose larger residual is
- * <= tol or NaN, the rows that end solvers.solve's loop. */
-int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
+ * the last result. */
+static void iterate(sf_state *s)
 {
-    for (int64_t i = 0; i < n; i++) {
-        double *row = rows + 3 * i;
-        if (s->pgd)
-            pgd_step(s);
-        else
-            sweep(s);
-        if (++s->iterations > s->gate)
-            extrapolate(s);
-        else if (s->iterations == s->gate)
-            for (int64_t j = 0; j < s->n_commodities * s->n_arcs; j++)
-                s->momentum[j] = s->flows[j];
-        row[0] = objective(s);
-        residuals(s, row + 1, 0);
-        const double used = row[1], unused = row[2];
-        if (used != used || unused != unused || (used <= tol && unused <= tol))
-            return i + 1;
-    }
-    return n;
+    if (s->pgd)
+        pgd_step(s);
+    else
+        sweep(s);
+    if (++s->iterations > s->gate)
+        extrapolate(s);
+    else if (s->iterations == s->gate)
+        for (int64_t j = 0; j < s->n_commodities * s->n_arcs; j++)
+            s->momentum[j] = s->flows[j];
 }
 
 /* The final state and its report, as tests/reference.py:solve makes them:
@@ -414,7 +388,7 @@ int64_t sf_run(sf_state *s, double tol, int64_t n, double *rows)
  * totals, in place. out holds heights (n_vertices, n_commodities),
  * congestions (n_arcs,), implied multipliers (n_commodities, n_arcs) and
  * the used and unused residuals, in that order. */
-void sf_report(sf_state *s, double *out)
+static void report(sf_state *s, double *out)
 {
     const int64_t n_arcs = s->n_arcs, n_vertices = s->n_vertices;
     const int64_t n_commodities = s->n_commodities;
@@ -432,6 +406,43 @@ void sf_report(sf_state *s, double *out)
         for (int64_t v = 0; v < n_vertices; v++)
             heights[v * n_commodities + k] = s->excesses[k * n_vertices + v];
     residuals(s, multipliers + n_commodities * n_arcs, multipliers);
+}
+
+/* For solvers.solve, as tests/reference.py:solve: up to n_rows trace rows
+ * per call, resumed where the last call left off, and the number written
+ * returned. Row i, at rows[3i .. 3i+2], holds the objective and the used and
+ * unused residuals after iteration i; row 0's totals and excesses are
+ * derived from the flows. A row stops the solve when a residual is NaN or
+ * both are <= tol, but totals and excesses drift from the flows as they are
+ * updated, so an iteration's row within tol is first re-derived, and the
+ * solve runs on if that reads above tol. It also stops after max_iters
+ * iterations. At the stop, out gets the report and done is set. */
+int64_t sf_solve(sf_state *s, double tol, int64_t max_iters, double *rows, int64_t n_rows,
+                 double *out)
+{
+    int64_t n = 0;
+    while (n < n_rows && !s->done) {
+        double *row = rows + 3 * n++;
+        if (s->iterations < 0) {
+            derive(s);
+            s->iterations = 0;
+        } else {
+            iterate(s);
+        }
+        row[0] = objective(s);
+        residuals(s, row + 1, 0);
+        if (s->iterations > 0 && row[1] <= tol && row[2] <= tol) {
+            derive(s);
+            residuals(s, row + 1, 0);
+        }
+        const double used = row[1], unused = row[2];
+        if (used != used || unused != unused || (used <= tol && unused <= tol)
+            || s->iterations >= max_iters) {
+            report(s, out);
+            s->done = 1;
+        }
+    }
+    return n;
 }
 
 /* Arrays and sizes of one crossover, all C-contiguous; mirrored by

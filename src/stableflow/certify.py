@@ -104,7 +104,7 @@ def _basic(inst: Instance, flows: np.ndarray) -> PseudoFlow:
     if flows.shape != shape or flows.dtype.char != "d":
         raise ValueError(f"flows must be a float64 array of shape {shape}")
     flows = np.ascontiguousarray(flows, dtype=float)
-    return _kernel.crossover(_kernel.load(), inst, flows, _USE_FRACTION * inst.scale)
+    return _kernel.crossover(inst, flows, _USE_FRACTION * inst.scale)
 
 
 def render_verdict_report(

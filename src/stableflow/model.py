@@ -258,14 +258,14 @@ def parse_instance(text: str) -> Instance:
             line, or an instance that violates a model invariant or whose
             arrays do not fit in memory. The error message carries the line
             number.
-        OSError: The compiled kernel cannot be built or loaded.
+        OSError: The text is ASCII and the compiled kernel cannot be built
+            or loaded.
     """
     from . import _kernel  # imports this module
 
-    lib = _kernel.load()
     if text.isascii():
         try:
-            inst = _kernel.parse(lib, text)
+            inst = _kernel.parse(text)
         except ValidationError:
             inst = None  # read again below, so the error gets its line
         if inst is not None:

@@ -39,10 +39,11 @@ and otherwise dropped with the momentum reset (adaptive restart,
 O'Donoghue-Candes 2015). The kept state never has a larger objective than
 the iteration's result, so traces stay monotone.
 
-Both methods run their iterations in the compiled kernel (``_sweep.c``,
-built and loaded by ``_kernel``), which every solve requires.
+Both methods run in the compiled kernel (``_sweep.c``, built and loaded by
+``_kernel``), which every solve requires: one driver, ``sf_solve``, runs
+the iterations of either, the stopping rule and the final report.
 ``tests/reference.py`` holds a Python copy of the sweep, the PGD step, the
-extrapolation and this driver loop; the tests compare the kernel with it
+extrapolation and the driver loop; the tests compare the kernel with it
 bit for bit.
 """
 
@@ -64,7 +65,6 @@ from .pseudoflow import (
     StabilityReport,
     _USE_FRACTION,
     _integral_objective,
-    _max_residual,
     gradient,
     stability_report,
 )
@@ -182,19 +182,14 @@ def solve(
     """Run the method selected by ``cfg.method`` to stability.
 
     :class:`_kernel.Kernel` binds the instance and the starting state, and
-    holds the solve's state, the result's arrays included, in its one
-    buffer, beside the extrapolation's arrays. ``derive`` re-derives totals
-    and excesses from the flows and returns the trace row (objective, used
-    residual, unused residual) of that state; it gives row 0 and the
-    re-check at a stop. ``run`` runs a segment of up to
-    ``_kernel.SEGMENT`` iterations in place, one row per iteration, and
-    returns early only on a row that stops the loop; past
-    ``_MOMENTUM_GATE`` iterations, each iteration also extrapolates and
-    keeps or restarts, and its row is the kept state's. ``report`` makes
-    the final flows, slacks, heights, congestions, multipliers and
-    residuals. The loop stops when both stability residuals are within
-    ``cfg.tol * inst.scale``, at once when either is NaN, or after
-    ``cfg.max_iters`` iterations; neither method has another exit.
+    its ``solve`` runs the whole solve in ``_sweep.c:sf_solve``: row 0 of the
+    trace (objective, used residual, unused residual) from totals and
+    excesses derived from the flows, then one row per iteration. The solve
+    stops when both stability residuals are within ``cfg.tol *
+    inst.scale``, checked again on totals and excesses re-derived from the
+    flows; at once when either is NaN; or after ``cfg.max_iters``
+    iterations. Neither method has another exit. The kernel then makes the
+    final flows, slacks, heights, congestions, multipliers and residuals.
     ``converged`` is read off the final report, so the two always agree.
     Only the report's objective is summed in numpy, as
     :func:`stability_report` sums it; a report with a NaN residual is
@@ -210,21 +205,9 @@ def solve(
     tol = cfg.tol * inst.scale
     start = _initial_state(inst, cfg, warm_start)
     kernel = _kernel.Kernel(
-        _kernel.load(), inst, *start, cfg.method is Method.PGD,
-        _USE_FRACTION * inst.scale, _OMEGA, _MOMENTUM_GATE,
+        inst, *start, cfg.method is Method.PGD, _USE_FRACTION * inst.scale, _OMEGA, _MOMENTUM_GATE
     )
-    rows = [kernel.derive()]
-    iterations = 0
-    while _max_residual(*rows[-1][1:]) > tol and iterations < cfg.max_iters:
-        rows += kernel.run(tol, min(_kernel.SEGMENT, cfg.max_iters - iterations))
-        iterations = len(rows) - 1
-        # Only the last row can stop the loop; the kernel returns on it.
-        if _max_residual(*rows[-1][1:]) <= tol:
-            # Totals and excesses are updated incrementally and drift from
-            # the flows; re-derive them so the stop agrees with the report.
-            rows[-1][1:] = kernel.derive()[1:]
-
-    heights, congestions, multipliers, used, unused = kernel.report()
+    rows, (heights, congestions, multipliers, used, unused) = kernel.solve(tol, cfg.max_iters)
     # The kernel left flows >= 0 (or NaN) and slacks in [0, caps].
     pf = PseudoFlow._adopt(kernel.flows, kernel.slacks)
     if math.isnan(used) or math.isnan(unused):
@@ -234,7 +217,7 @@ def solve(
     else:
         objective = _integral_objective(congestions, kernel.excesses)
         report = StabilityReport(heights, congestions, used, unused, multipliers, objective)
-    return SolveResult(pf, report, iterations, report.max_residual <= tol, rows, cfg)
+    return SolveResult(pf, report, len(rows) - 1, report.max_residual <= tol, rows, cfg)
 
 
 def solve_pgd(

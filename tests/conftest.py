@@ -7,10 +7,10 @@ from stableflow.pseudoflow import _excess_matrix, check_feasible
 
 @pytest.fixture
 def fresh_load():
-    """``_kernel.load`` uncached for the test, and again after it."""
-    _kernel.load.cache_clear()
+    """``_kernel.load`` uncached for the test, a failure too, and again after it."""
+    _kernel._open.cache_clear()
     yield
-    _kernel.load.cache_clear()
+    _kernel._open.cache_clear()
 
 
 @pytest.fixture

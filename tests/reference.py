@@ -1,8 +1,8 @@
 """Python copies of the compiled kernel's work, which the tests compare
 with ``src/stableflow/_sweep.c`` bit for bit.
 
-- :func:`solve`: the driver loop of ``solvers.solve`` in numpy, one
-  iteration per step: :func:`_python_sweep` or :func:`_pgd_step`, then past
+- :func:`solve`: ``solvers.solve`` in numpy, with the driver loop of
+  ``_sweep.c:sf_solve``, one iteration per step: :func:`_python_sweep` or :func:`_pgd_step`, then past
   the gate :func:`_extrapolate`, with row 0, the re-check at a stop and the
   report from ``pseudoflow``.
 - :func:`basic`: ``certify._basic`` through :func:`_crossover`.

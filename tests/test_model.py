@@ -125,7 +125,7 @@ def _read_both(text):
 def _compiled(text):
     """Whether the compiled reader takes the text, as parse_instance asks it."""
     try:
-        return _kernel.parse(_kernel.load(), text) is not None
+        return _kernel.parse(text) is not None
     except ValidationError:
         return True
 

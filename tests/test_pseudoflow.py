@@ -426,7 +426,7 @@ THRESHOLD = 1e-9  # the use threshold at scale 1.0, a largest demand in [1, 2)
 def _route_both_ways(inst, flows):
     """The Python reference's routing; the compiled one must be bitwise equal."""
     reference = _crossover(inst, flows, THRESHOLD)
-    compiled = _kernel.crossover(_kernel.load(), inst, flows, THRESHOLD)
+    compiled = _kernel.crossover(inst, flows, THRESHOLD)
     assert compiled.flows.tobytes() == reference.tobytes()
     caps = inst.capacities
     assert compiled.slacks.tobytes() == np.clip(caps - reference.sum(axis=0), 0, caps).tobytes()

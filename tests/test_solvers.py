@@ -89,6 +89,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_iters", [2**63, 2**64 + 3])
+    def test_max_iters_beyond_int64_is_not_wrapped(self, one_arc, max_iters):
+        # ctypes wraps an int outside int64 without a word: 2**63 would read
+        # as a negative count and stop at row 0, and 2**64 + 3 as 3.
+        result = solve(one_arc(1.0, 2.0), SolverConfig(max_iters=max_iters))
+        assert result.converged and result.iterations == 27
+
     def test_solve_dispatches_on_method(self, one_arc):
         inst = one_arc(1.0, 1.0)
         assert solve(inst, PGD).config.method is Method.PGD
@@ -300,19 +307,39 @@ def test_solvers_scale_past_desk_size():
     assert abs(coord.report.objective - pgd.report.objective) <= 1e-6
 
 
+# A valid warm start whose arc totals overflow: row 0 reads [inf, nan, nan].
+NAN_START = (
+    Instance(3, [(0, 1, 1.0), (2, 0, 1.0), (2, 0, 1.0)], [(2, 1, 1.0), (2, 1, 1.0)]),
+    PseudoFlow(np.array([[1e308] * 3, [1e308, 0.0, 0.0]]), np.zeros(3)),
+)
+
+
 @pytest.mark.parametrize("method", [Method.COORDINATE, Method.PGD])
-@pytest.mark.parametrize("residuals", [(1.0, math.nan), (math.nan, 1.0)])
-def test_nan_residual_stops_at_once(one_arc, monkeypatch, method, residuals):
+@pytest.mark.parametrize("residuals", [(1.0, math.nan), (math.nan, math.nan)])
+def test_nan_residual_stops_at_once(method, residuals):
     # Python's max(1.0, nan) is 1.0: a NaN in the second slot used to read
     # as a finite residual and the loop ran on to max_iters. Row 0 carries
-    # the NaN, in the library's loop and in the reference's.
-    monkeypatch.setattr(_kernel.Kernel, "derive", lambda self: [1.0, *residuals])
-    monkeypatch.setattr(reference, "_stability_residuals", lambda *args: (*residuals, None))
+    # the NaN, and the solve stops on it without an iteration.
     cfg = SolverConfig(method=method, max_iters=50)
-    for run in (solve, reference.solve):
-        result = run(one_arc(1.0, 2.0), cfg)
-        assert result.iterations == 0 and len(result.trace) == 1
-        assert not result.converged
+    if math.isnan(residuals[0]):
+        inst, start = NAN_START
+        with np.errstate(all="ignore"):
+            results = [run(inst, cfg, warm_start=start) for run in (solve, reference.solve)]
+        assert all(result.iterations == 0 and not result.converged for result in results)
+        assert [result.trace_csv() for result in results] == [results[1].trace_csv()] * 2
+        (row,) = results[0].rows
+        assert math.isinf(row[0])
+    else:
+        # NaN flows are no valid warm start, so the kernel takes them
+        # directly; here row 0 reads [nan, 1.0, nan].
+        inst, flows, _ = _nan_flag_case("apart")
+        threshold = _USE_FRACTION * inst.scale
+        kernel = _kernel.Kernel(
+            inst, flows, inst.capacities, method is Method.PGD, threshold,
+            solvers._OMEGA, solvers._MOMENTUM_GATE,
+        )
+        (row,), _ = kernel.solve(cfg.tol * inst.scale, cfg.max_iters)
+    assert np.array_equal(row[1:], residuals, equal_nan=True)
 
 
 class TestTrace:
@@ -416,6 +443,30 @@ def _c_struct_fields(name):
         else:
             fields.append((field, c_types[c_type]))
     return fields
+
+
+def _c_exports():
+    """(restype, *argtypes) in ctypes of each function the kernel source
+    exports, that is each ``sf_*`` function not declared ``static``, by name."""
+    with open(_kernel.SOURCE, encoding="utf-8") as fh:
+        source = fh.read()
+    c_types = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    pointers = {
+        "double": ctypes.c_void_p,
+        "sf_state": ctypes.POINTER(_kernel._State),
+        "sf_routing": ctypes.POINTER(_kernel._Routing),
+        "sf_text": ctypes.POINTER(_kernel._Text),
+    }
+    exports = {}
+    for restype, name, params in re.findall(r"^(?!static\b)(\w+)\s+(sf_\w+)\(([^)]*)\)", source, re.M):
+        signature = [c_types[restype]]
+        for param in params.split(","):
+            match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", param)
+            assert match, param
+            c_type, pointer = match.groups()
+            signature.append(pointers[c_type] if pointer else c_types[c_type])
+        exports[name] = tuple(signature)
+    return exports
 
 
 # Two components: commodity 0 routes 0 -> 1 -> 2, and arcs 2 and 3
@@ -538,7 +589,8 @@ class TestCompiledKernel:
         ],
     )
     def test_sweep_and_residuals_match_reference(self, shape):
-        lib = _kernel.load()
+        # One to three sweeps from a warm start: every row, the final state
+        # and the report bitwise the reference's.
         n_vertices, n_arcs, n_commodities = shape
         rng = np.random.default_rng(sum(shape))
         tails = rng.integers(0, n_vertices, n_arcs)
@@ -547,50 +599,23 @@ class TestCompiledKernel:
         flows = rng.uniform(0.0, 2.0, (n_commodities, n_arcs))
         flows[rng.random(flows.shape) < 0.3] = 0.0
         slacks = rng.uniform(0.0, 1.0, n_arcs) * caps
-        excesses = rng.normal(0.0, 2.0, (n_commodities, n_vertices))
-        # A sweep reads no demand; the excesses are random, not derived.
         arcs = list(zip(tails.tolist(), heads.tolist(), caps.tolist()))
         inst = Instance(n_vertices, arcs, [(0, 1, 1.0)] * n_commodities)
-        caps, tails, heads = inst.capacities, inst.tails, inst.heads
-
-        def bind():
-            kernel = _kernel.Kernel(
-                lib, inst, flows, slacks, False, 0.5, solvers._OMEGA, solvers._MOMENTUM_GATE
-            )
-            kernel.totals[...] = flows.sum(axis=0)
-            kernel.excesses[...] = excesses
-            return kernel, _kernel_state(kernel)
-
-        kernel, state = bind()
-        mirror = [array.copy() for array in state]
-        rows = []
-        for _ in range(3):
-            ((objective, used, unused),) = kernel.run(NEVER_STABLE, 1)
-            rows.append([objective, used, unused])
-            reference._python_sweep(*mirror, caps, tails, heads)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(state, mirror))
-            flows_ref, slacks_ref, totals_ref, excesses_ref = mirror
-            assert objective == _slack_objective(totals_ref, slacks_ref, caps, excesses_ref)
-            gaps = (totals_ref + slacks_ref - caps).tolist()
-            excess_list = excesses_ref.ravel().tolist()
-            assert objective == (
-                0.5 * _loop_sum_of_squares(gaps) + 0.5 * _loop_sum_of_squares(excess_list)
-            )
-            expected = _stability_residuals(
-                flows_ref, totals_ref, excesses_ref, caps, tails, heads, 0.5
-            )[:2]
-            assert (used, unused) == expected
-        # One call of three sweeps gives the same rows and state.
-        segment, start = bind()
-        assert segment.run(NEVER_STABLE, 3) == rows
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(start, mirror))
+        start = PseudoFlow(flows, slacks)
+        gaps = (flows.sum(axis=0) + slacks - inst.capacities).tolist()
+        excesses = _excess_matrix(inst, flows).ravel().tolist()
+        objective = 0.5 * _loop_sum_of_squares(gaps) + 0.5 * _loop_sum_of_squares(excesses)
+        for max_iters in (1, 2, 3):
+            cfg = SolverConfig(tol=1e-300, max_iters=max_iters)
+            compiled = solve(inst, cfg, warm_start=start)
+            assert compiled.rows[0][0] == objective
+            assert_bitwise_same(compiled, reference.solve(inst, cfg, warm_start=start))
 
     @pytest.mark.parametrize("case", list(NAN_FLAG_CASES))
     def test_nan_residual_only_where_a_nan_gap_is_covered(self, case):
         # The kernel's residual pass skips a NaN gap in its maxima and flags
         # it instead: the used residual is NaN only when a used pair's gap
         # is, and otherwise keeps the finite maximum that numpy finds.
-        lib = _kernel.load()
         inst, flows, used_is_nan = _nan_flag_case(case)
         caps, tails, heads = inst.capacities, inst.tails, inst.heads
         threshold = _USE_FRACTION * inst.scale
@@ -602,10 +627,11 @@ class TestCompiledKernel:
         assert math.isnan(unused)
         assert used_is_nan or used > 0.0
         kernel = _kernel.Kernel(
-            lib, inst, flows, caps, False, threshold, solvers._OMEGA, solvers._MOMENTUM_GATE
+            inst, flows, caps, False, threshold, solvers._OMEGA, solvers._MOMENTUM_GATE
         )
-        _, derived_used, derived_unused = kernel.derive()
-        *_, report_multipliers, report_used, report_unused = kernel.report()
+        # Row 0 is NaN, so the solve stops on it and reports.
+        ((_, derived_used, derived_unused),), report = kernel.solve(1.0, 50)
+        *_, report_multipliers, report_used, report_unused = report
         for got_used, got_unused in [(derived_used, derived_unused), (report_used, report_unused)]:
             assert math.isnan(got_unused)
             if used_is_nan:
@@ -640,29 +666,15 @@ class TestCompiledKernel:
         _assert_pgd_steps_match(inst, flows, np.array([2.0, -0.0]), steps=1)
 
 
-def _kernel_state(kernel):
-    """The kernel's (flows, slacks, totals, excesses) views."""
-    return [kernel.flows, kernel.slacks, kernel.totals, kernel.excesses]
-
-
 def _assert_pgd_steps_match(inst, flows, slacks, steps=3):
-    """Single compiled PGD steps from (flows, slacks) match ``_pgd_step`` bitwise."""
-    lib = _kernel.load()
-    caps, tails, heads = inst.capacities, inst.tails, inst.heads
-    kernel = _kernel.Kernel(
-        lib, inst, flows, slacks, True, 0.5, solvers._OMEGA, solvers._MOMENTUM_GATE
-    )
-    kernel.totals[...] = flows.sum(axis=0)
-    kernel.excesses[...] = _excess_matrix(inst, flows)
-    state = _kernel_state(kernel)
-    mirror = [array.copy() for array in state]
-    for _ in range(steps):
-        ((objective, used, unused),) = kernel.run(NEVER_STABLE, 1)
-        reference._pgd_step(inst, *mirror)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(state, mirror))
-        assert objective == _slack_objective(mirror[2], mirror[1], caps, mirror[3])
-        residuals = _stability_residuals(*mirror[:1], *mirror[2:], caps, tails, heads, 0.5)
-        assert (used, unused) == residuals[:2]
+    """One to ``steps`` PGD steps from (flows, slacks): every row, the final
+    state and the report bitwise the reference's."""
+    start = PseudoFlow(flows, slacks)
+    for max_iters in range(1, steps + 1):
+        cfg = SolverConfig(method=Method.PGD, tol=1e-300, max_iters=max_iters)
+        assert_bitwise_same(
+            solve(inst, cfg, warm_start=start), reference.solve(inst, cfg, warm_start=start)
+        )
 
 
 # The 1e308 instance: five commodities overflow the arc totals in the first
@@ -741,6 +753,10 @@ def _segment_cases():
     cases = [(f"desk{i}", inst, COORD) for i, inst in enumerate(desk)]
     cases += [(f"desk{i}-cap9", inst, SolverConfig(max_iters=9)) for i, inst in enumerate(desk)]
     cases += [(f"tight{s}-cap41", _tight_instance(s), SolverConfig(max_iters=41)) for s in (4, 5)]
+    # At tol 1e-15 the coordinate solve's rows at iterations 101 and 103 meet
+    # tol, read above it once re-derived, and the solve runs on to 105.
+    recheck = generate_random_instance(8, 12, 3, (1, 5), (1, 5), seed=18)
+    cases += [("recheck-runs-on", recheck, SolverConfig(tol=1e-15))]
     return [pytest.param(inst, cfg, id=name) for name, inst, cfg in _with_pgd(cases)]
 
 
@@ -900,23 +916,25 @@ class TestMomentum:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_segment_runs_across_gate(self, method):
-        # sf_run counts the gate itself: one segment from a fresh bind runs
-        # the plain iterations and the extrapolated ones past the gate, as
-        # the Python loop runs them one at a time.
-        lib = _kernel.load()
-        assert solvers._MOMENTUM_GATE < _kernel.SEGMENT
+        # sf_solve counts the gate itself: one call from a fresh bind writes
+        # row 0, the plain iterations and the extrapolated ones past the
+        # gate, as the Python loop runs them one at a time, and reports.
+        max_iters = _kernel.SEGMENT - 1
+        assert solvers._MOMENTUM_GATE < max_iters
         inst = _path(20, 1.5)
         flows = np.zeros((inst.commodity_count, inst.arc_count))
         threshold = solvers._USE_FRACTION * inst.scale
         kernel = _kernel.Kernel(
-            lib, inst, flows, inst.capacities, method is Method.PGD, threshold,
+            inst, flows, inst.capacities, method is Method.PGD, threshold,
             solvers._OMEGA, solvers._MOMENTUM_GATE,
         )
-        kernel.derive()
-        rows = kernel.run(NEVER_STABLE, _kernel.SEGMENT)
-        cfg = SolverConfig(method=method, tol=1e-300, max_iters=_kernel.SEGMENT)
-        assert rows == reference.solve(inst, cfg).rows[1:]
-        assert len(rows) == _kernel.SEGMENT
+        written, sf_solve = [], kernel._sf_solve
+        kernel._sf_solve = lambda *args: written.append(sf_solve(*args)) or written[-1]
+        rows, _ = kernel.solve(NEVER_STABLE, max_iters)
+        cfg = SolverConfig(method=method, tol=1e-300, max_iters=max_iters)
+        python = reference.solve(inst, cfg)
+        assert rows == python.rows and python.iterations == max_iters
+        assert written == [_kernel.SEGMENT]
 
 
 class TestKernelLoading:
@@ -940,16 +958,31 @@ class TestKernelLoading:
             (tmp_path / "file").write_text("")
             monkeypatch.setattr(_kernel, "CACHE_DIR", str(tmp_path / "file" / "cache"))
         monkeypatch.setattr(_kernel, "_compiler", lambda: compiler)
+        builds, build = [], _kernel._build
+        monkeypatch.setattr(_kernel, "_build", lambda path: builds.append(path) or build(path))
         named = re.escape(f"{_kernel.SOURCE} with the C compiler {shlex.join(compiler)!r}")
         for call in (_kernel.load, lambda: solve(_tight_instance(1)), lambda: parse_instance("")):
             with pytest.raises(OSError, match=named) as info:
                 call()
             assert "\n" not in str(info.value)
+        # The first failure is kept: the later calls do not build again.
+        assert len(builds) == 1
 
     def test_state_mirrors_the_c_struct(self):
         # ctypes lays _State over sf_state by position, so a field out of
         # step with the C struct reads or writes the wrong memory silently.
         assert _c_struct_fields("sf_state") == _kernel._State._fields_
+
+    def test_exports_mirror_the_loader(self):
+        # ctypes passes arguments as load() declares them and checks nothing
+        # against the C prototype: a stale export, or an argument missing or
+        # of the wrong type, would read or write the wrong memory silently.
+        lib = _kernel.load()
+        declared = {
+            name: (getattr(lib, name).restype, *getattr(lib, name).argtypes)
+            for name in _kernel._SIGNATURES
+        }
+        assert _c_exports() == declared
 
     def test_routing_mirrors_the_c_struct(self):
         assert _c_struct_fields("sf_routing") == _kernel._Routing._fields_
@@ -968,7 +1001,7 @@ class TestKernelLoading:
         _kernel.load()
         (built,) = tmp_path.iterdir()  # no temporary file left behind
         assert built.name.startswith("_sweep-") and built.suffix == ".so"
-        _kernel.load.cache_clear()
+        _kernel._open.cache_clear()
         monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-DSTABLEFLOW_TEST_KEY"))
         _kernel.load()
         assert len(list(tmp_path.iterdir())) == 2
@@ -976,30 +1009,20 @@ class TestKernelLoading:
 
 class TestKernelArrayGuard:
     @staticmethod
-    def bind(lib, n_vertices=4, n_arcs=5, n_commodities=3):
+    def bind(n_vertices=4, n_arcs=5, n_commodities=3):
         inst = Instance(n_vertices, [(0, 1, 1.0)] * n_arcs, [(0, 1, 1.0)] * n_commodities)
         flows = np.zeros((n_commodities, n_arcs))
         return _kernel.Kernel(
-            lib, inst, flows, np.zeros(n_arcs), False, 0.0, solvers._OMEGA, solvers._MOMENTUM_GATE
+            inst, flows, np.zeros(n_arcs), False, 0.0, solvers._OMEGA, solvers._MOMENTUM_GATE
         )
 
     def test_valid_arrays_bind(self):
-        lib = _kernel.load()
-        kernel = self.bind(lib)
-        kernel.derive()
-        kernel.run(1e-8, 1)
+        rows, _ = self.bind().solve(1e-8, 1)
+        assert len(rows) == 2
 
     def test_zero_arcs_bind(self):
-        lib = _kernel.load()
-        kernel = self.bind(lib, n_arcs=0)
+        kernel = self.bind(n_arcs=0)
         # Three commodities each hold +1 and -1 excess: objective 3.
-        assert kernel.derive() == [3.0, 0.0, 0.0]
+        rows, _ = kernel.solve(NEVER_STABLE, 1)
+        assert rows == [[3.0, 0.0, 0.0]] * 2
         assert kernel.excesses.tobytes() == np.array([[1.0, -1.0, 0.0, 0.0]] * 3).tobytes()
-        assert kernel.run(1e-8, 1) == [[3.0, 0.0, 0.0]]
-
-    @pytest.mark.parametrize("n", [0, -1, _kernel.SEGMENT + 1])
-    def test_run_length_outside_buffer_rejected(self, n):
-        lib = _kernel.load()
-        kernel = self.bind(lib)
-        with pytest.raises(ValueError, match="n must lie in"):
-            kernel.run(1e-8, n)
